@@ -336,29 +336,23 @@ MultiTaskEpochManager::MultiTaskEpochManager(const ComposedSystem& system)
     : system_(&system),
       next_local_(system.num_tasks(), 0),
       cached_(system.num_tasks()),
-      fresh_(system.num_tasks(), 0) {}
-
-Decision MultiTaskEpochManager::decide(StateIndex s, TimeNs t) {
-  const TaskRef& ref = system_->origin(s);
-  SPEEDQM_ASSERT(ref.local_action == next_local_[ref.task],
-                 "multi-task epoch manager: composite progression out of order");
-  std::uint64_t epoch_ops = 0;
-  if (!fresh_[ref.task]) {
-    // Composite decision point: every unfinished task is (re-)decided at
-    // the current observed time. Tasks whose previous decision was still
-    // cached get a fresher one — time has advanced since theirs was taken.
-    epoch_ops = refresh(next_local_.data(), t, cached_.data());
-    for (std::size_t task = 0; task < fresh_.size(); ++task) {
-      fresh_[task] = next_local_[task] < system_->task_size(task) ? 1 : 0;
-    }
-    ++epochs_;
+      fresh_(system.num_tasks(), 0) {
+  sizes_.reserve(system.num_tasks());
+  for (std::size_t task = 0; task < system.num_tasks(); ++task) {
+    sizes_.push_back(system.task_size(task));
   }
-  Decision d = cached_[ref.task];
-  d.relax_steps = 1;
-  d.ops = epoch_ops;  // whole epoch charged to the refreshing call
-  fresh_[ref.task] = 0;
-  ++next_local_[ref.task];
-  return d;
+}
+
+std::uint64_t MultiTaskEpochManager::begin_epoch(TimeNs t) {
+  // Every unfinished task is (re-)decided at the current observed time.
+  // Tasks whose previous decision was still cached get a fresher one —
+  // time has advanced since theirs was taken.
+  const std::uint64_t ops = refresh(next_local_.data(), t, cached_.data());
+  for (std::size_t task = 0; task < fresh_.size(); ++task) {
+    fresh_[task] = next_local_[task] < sizes_[task] ? 1 : 0;
+  }
+  ++epochs_;
+  return ops;
 }
 
 void MultiTaskEpochManager::reset() {
@@ -400,7 +394,6 @@ SequentialMultiTaskManager::SequentialMultiTaskManager(
   SPEEDQM_REQUIRE(engines.size() == system.num_tasks(),
                   "SequentialMultiTaskManager: one engine per task required");
   managers_.reserve(engines.size());
-  sizes_.reserve(engines.size());
   for (std::size_t task = 0; task < engines.size(); ++task) {
     const PolicyEngine* engine = engines[task];
     SPEEDQM_REQUIRE(engine != nullptr, "SequentialMultiTaskManager: null engine");
@@ -412,7 +405,6 @@ SequentialMultiTaskManager::SequentialMultiTaskManager(
       managers_.push_back(std::make_unique<NumericManager>(
           *engine, NumericManager::Strategy::kIncremental));
     }
-    sizes_.push_back(engine->num_states());
   }
 }
 
@@ -421,7 +413,7 @@ std::uint64_t SequentialMultiTaskManager::refresh(const StateIndex* states,
   std::uint64_t total = 0;
   for (std::size_t task = 0; task < managers_.size(); ++task) {
     const StateIndex s = states[task];
-    if (s >= sizes_[task]) continue;
+    if (s >= task_size(task)) continue;
     const Decision d = managers_[task]->decide(s, t);
     out[task] = d;
     total += d.ops;

@@ -69,6 +69,7 @@
 #include "core/td_compressed.hpp"
 #include "core/td_incremental.hpp"
 #include "core/types.hpp"
+#include "support/contract.hpp"
 
 namespace speedqm {
 
@@ -185,7 +186,22 @@ class BatchDecisionEngine {
 /// free.
 class MultiTaskEpochManager : public QualityManager {
  public:
-  Decision decide(StateIndex s, TimeNs t) final;
+  /// Inline so a caller holding the concrete manager type pays no call
+  /// for the common case: a cached decision from the current epoch.
+  Decision decide(StateIndex s, TimeNs t) final {
+    const TaskRef& ref = system_->origin(s);
+    SPEEDQM_ASSERT(ref.local_action == next_local_[ref.task],
+                   "multi-task epoch manager: composite progression out of order");
+    // Composite decision point when the task has no unconsumed decision;
+    // the whole epoch is charged to the refreshing call.
+    const std::uint64_t epoch_ops = fresh_[ref.task] ? 0 : begin_epoch(t);
+    Decision d = cached_[ref.task];
+    d.relax_steps = 1;
+    d.ops = epoch_ops;
+    fresh_[ref.task] = 0;
+    ++next_local_[ref.task];
+    return d;
+  }
   void reset() final;
 
   /// Composite decision points taken since construction/reset.
@@ -202,9 +218,16 @@ class MultiTaskEpochManager : public QualityManager {
   virtual void reset_engines() = 0;
 
   const ComposedSystem& system() const { return *system_; }
+  /// Number of local actions of `task` (cached at construction).
+  StateIndex task_size(std::size_t task) const { return sizes_[task]; }
 
  private:
+  /// Composite decision point: re-decides every unfinished task at `t`
+  /// and returns the epoch's total ops.
+  std::uint64_t begin_epoch(TimeNs t);
+
   const ComposedSystem* system_;
+  std::vector<StateIndex> sizes_;       ///< per task: local action count
   std::vector<StateIndex> next_local_;  ///< per task: next local action
   std::vector<Decision> cached_;        ///< per task: last epoch's decision
   std::vector<std::uint8_t> fresh_;     ///< per task: cached and unconsumed
@@ -268,7 +291,6 @@ class SequentialMultiTaskManager final : public MultiTaskEpochManager {
 
  private:
   std::vector<std::unique_ptr<QualityManager>> managers_;
-  std::vector<StateIndex> sizes_;
   BatchDecisionEngine::Mode mode_;
 };
 

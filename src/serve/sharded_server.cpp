@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "serve/async_manager.hpp"
-#include "sim/executor.hpp"
+#include "sim/executor_loop.hpp"
 #include "support/contract.hpp"
 
 namespace speedqm {
@@ -346,10 +346,24 @@ void ShardedServer::run_shard_segment(Shard& shard, std::size_t start_cycle,
   ExecutorOptions opts = shard.mix->executor_options(cycles);
   opts.retain_steps = false;
   opts.retain_cycles = false;
-  TeeSink tee(shard.acc.get(), spec_.tap);
-  opts.sink = spec_.tap ? static_cast<StepSink*>(&tee) : shard.acc.get();
   opts.start_cycle = start_cycle;
   opts.start_time = shard.clock;
+  const ScheduledApp& app = shard.mix->composed().app();
+
+  // A shard without decorators (no perturbation, pacer or tap, and the
+  // inline manager: the serve default) runs the step loop over its final
+  // concrete types, so every per-step call binds statically. Decorated
+  // shards run the same loop over the abstract interfaces.
+  auto* const batch = dynamic_cast<BatchMultiTaskManager*>(shard.manager.get());
+  if (batch && !shard.pmanager && !shard.pacer && !spec_.tap) {
+    shard.clock = run_cyclic_loop(app, *batch, shard.mix->source(),
+                                  shard.acc.get(), opts)
+                      .total_time;
+    return;
+  }
+
+  TeeSink tee(shard.acc.get(), spec_.tap);
+  opts.sink = spec_.tap ? static_cast<StepSink*>(&tee) : shard.acc.get();
   opts.pacer = shard.pacer.get();
 
   if (shard.pmanager) {
@@ -389,9 +403,7 @@ void ShardedServer::run_shard_segment(Shard& shard, std::size_t start_cycle,
                     : shard.mix->source();
 
   const ArmGuard armed(shard.pacer.get());
-  const RunResult run =
-      run_cyclic(shard.mix->composed().app(), manager, source, opts);
-  shard.clock = run.total_time;
+  shard.clock = run_cyclic(app, manager, source, opts).total_time;
 }
 
 void ShardedServer::run_segment(std::size_t start_cycle, std::size_t cycles) {

@@ -8,10 +8,10 @@
 // its async twin — serve/async_manager.hpp — whose engine runs on a
 // dedicated manager thread), executes cycles against its own platform
 // clock, and folds its steps through a private RunSummaryAccumulator.
-// Shards share nothing mutable: the TaskPool invariant (a task belongs to
-// at most one shard) keeps trace cursors single-owner, so S shards on W
-// worker threads run with zero cross-shard synchronization between
-// segment barriers. Per-shard results are combined into one
+// Shards share nothing mutable: a task belongs to at most one shard, and
+// the pool's traces are read-only while serving (each shard's composed
+// source keeps its own cycle cursor), so S shards on W worker threads run
+// with zero cross-shard synchronization between segment barriers. Per-shard results are combined into one
 // bit-deterministic ServingSummary at the end (serve/serving_summary.hpp).
 //
 // Dynamics: an ArrivalSchedule (workload/arrivals.hpp) splits the serving

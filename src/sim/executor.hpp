@@ -180,6 +180,8 @@ struct RunResult {
 /// Runs `opts.cycles` cycles of the application under the manager.
 /// `source` provides per-cycle actual times; it must offer at least
 /// opts.cycles cycles of content (or wrap around, at its discretion).
+/// This is the step loop of sim/executor_loop.hpp instantiated over the
+/// abstract interfaces.
 RunResult run_cyclic(const ScheduledApp& app, QualityManager& manager,
                      CyclicTimeSource& source, const ExecutorOptions& opts);
 

@@ -2,53 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 namespace speedqm {
 
 RunSummaryAccumulator::RunSummaryAccumulator(std::string manager_name)
     : manager_(std::move(manager_name)) {}
-
-void RunSummaryAccumulator::on_step(const ExecStep& step) {
-  const Quality q = step.quality;
-  if (steps_ == 0) {
-    min_q_ = q;
-    max_q_ = q;
-  } else {
-    min_q_ = std::min(min_q_, q);
-    max_q_ = std::max(max_q_, q);
-  }
-  ++steps_;
-  q_sum_ += static_cast<double>(q);
-  q_sq_sum_ += static_cast<double>(q) * static_cast<double>(q);
-  if (has_prev_) {
-    const int jump = std::abs(q - prev_q_);
-    if (jump != 0) ++switches_;
-    max_jump_ = std::max(max_jump_, jump);
-    jump_sum_ += jump;
-  }
-  prev_q_ = q;
-  has_prev_ = true;
-
-  action_time_ += step.duration;
-  overhead_time_ += step.overhead;
-  if (step.manager_called) {
-    ++manager_calls_;
-    ops_ += step.ops;
-    if (!step.feasible) ++infeasible_;
-    const auto r = static_cast<std::size_t>(step.relax_steps);
-    if (r >= relax_histogram_.size()) relax_histogram_.resize(r + 1, 0);
-    ++relax_histogram_[r];
-    // Decision latency is the SIMULATED overhead charged for this manager
-    // call — deterministic, so the SLO quantiles are differential-safe.
-    decision_latency_.record(
-        step.overhead > 0 ? static_cast<std::uint64_t>(step.overhead) : 0);
-  }
-
-  if (step.overrun) ++overrun_steps_;
-  if (step.degraded) ++degraded_steps_;
-  max_lag_ = std::max(max_lag_, step.lag);
-}
 
 void RunSummaryAccumulator::on_cycle(const CycleStats& cycle) {
   ++cycles_seen_;
@@ -102,6 +60,7 @@ RunSummary RunSummaryAccumulator::finish() const {
   s.max_lag_ns = max_lag_;
   s.cycles_seen = cycles_seen_;
   s.decision_latency_ns = decision_latency_;
+  s.decision_latency_ns.record(latency_value_, latency_run_);
 
   const double busy = static_cast<double>(action_time_ + overhead_time_);
   if (busy > 0.0) {

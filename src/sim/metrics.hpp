@@ -10,6 +10,9 @@
 //     bit-identical summaries for the same step stream.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,7 +82,58 @@ class RunSummaryAccumulator final : public StepSink {
  public:
   explicit RunSummaryAccumulator(std::string manager_name);
 
-  void on_step(const ExecStep& step) override;
+  /// Inline so the executor's concrete serving loop folds each step
+  /// without a call.
+  void on_step(const ExecStep& step) override {
+    const Quality q = step.quality;
+    if (steps_ == 0) {
+      min_q_ = q;
+      max_q_ = q;
+    } else {
+      min_q_ = std::min(min_q_, q);
+      max_q_ = std::max(max_q_, q);
+    }
+    ++steps_;
+    q_sum_ += static_cast<double>(q);
+    q_sq_sum_ += static_cast<double>(q) * static_cast<double>(q);
+    if (has_prev_) {
+      const int jump = std::abs(q - prev_q_);
+      if (jump != 0) ++switches_;
+      max_jump_ = std::max(max_jump_, jump);
+      jump_sum_ += jump;
+    }
+    prev_q_ = q;
+    has_prev_ = true;
+
+    action_time_ += step.duration;
+    overhead_time_ += step.overhead;
+    if (step.manager_called) {
+      ++manager_calls_;
+      ops_ += step.ops;
+      if (!step.feasible) ++infeasible_;
+      const auto r = static_cast<std::size_t>(step.relax_steps);
+      if (r >= relax_histogram_.size()) relax_histogram_.resize(r + 1, 0);
+      ++relax_histogram_[r];
+      // Decision latency is the SIMULATED overhead charged for this
+      // manager call — deterministic, so the SLO quantiles are
+      // differential-safe. Runs of equal values (the common case: every
+      // cached epoch decision costs the same) are recorded once with their
+      // count; the histogram fold is order-free, so the result is
+      // identical to recording each value.
+      const std::uint64_t latency =
+          step.overhead > 0 ? static_cast<std::uint64_t>(step.overhead) : 0;
+      if (latency_run_ != 0 && latency != latency_value_) {
+        decision_latency_.record(latency_value_, latency_run_);
+        latency_run_ = 0;
+      }
+      latency_value_ = latency;
+      ++latency_run_;
+    }
+
+    if (step.overrun) ++overrun_steps_;
+    if (step.degraded) ++degraded_steps_;
+    max_lag_ = std::max(max_lag_, step.lag);
+  }
   void on_cycle(const CycleStats& cycle) override;
 
   /// Enables stress attribution: `ranges` are merged, sorted [begin, end)
@@ -142,7 +196,9 @@ class RunSummaryAccumulator final : public StepSink {
   TimeNs max_lag_ = 0;
   // SLO folds.
   std::size_t cycles_seen_ = 0;
-  SloHistogram decision_latency_;
+  SloHistogram decision_latency_;  ///< every latency run already closed
+  std::uint64_t latency_value_ = 0;  ///< value of the open run
+  std::uint64_t latency_run_ = 0;    ///< length of the open run (0 = none)
 };
 
 /// Builds the summary from a retained run (replays it through

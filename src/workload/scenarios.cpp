@@ -240,7 +240,7 @@ MultiTaskMix::MultiTaskMix(std::shared_ptr<TaskPool> pool,
       build_member_controllers(*pool_, members, budget_, overhead_);
 
   std::vector<TaskSpec> task_specs;
-  std::vector<CyclicTimeSource*> traces;
+  std::vector<const TraceTimeSource*> traces;
   for (std::size_t slot = 0; slot < members.size(); ++slot) {
     const std::size_t task = members[slot];
     task_specs.push_back(TaskSpec{pool_->name(task),

@@ -95,10 +95,10 @@ struct MultiTaskMixSpec {
 /// task `i` of two pools built from equal specs is identical, regardless
 /// of which subsets are later assembled.
 ///
-/// Thread-safety: everything here is immutable after construction EXCEPT
-/// the per-task trace sources, whose set_cycle/actual_time carry a cursor.
-/// Concurrent use from multiple shards is safe iff every task belongs to
-/// at most one shard at a time (ShardedServer's invariant).
+/// Thread-safety: everything here is immutable after construction, the
+/// per-task traces included: they are read-only while serving (composed
+/// sources keep their own cycle cursor and never move a trace's), so any
+/// number of shards and assemblies may read one pool concurrently.
 class TaskPool {
  public:
   explicit TaskPool(const MultiTaskMixSpec& spec);
@@ -114,7 +114,9 @@ class TaskPool {
   const TimingModel& raw_timing(std::size_t task) const {
     return *timings_.at(task);
   }
-  CyclicTimeSource& trace(std::size_t task) const { return *traces_.at(task); }
+  const TraceTimeSource& trace(std::size_t task) const {
+    return *traces_.at(task);
+  }
 
   /// The shared cycle budget of a member subset: budget_factor times the
   /// members' total Cav at budget_quality — exactly the arithmetic
@@ -128,7 +130,7 @@ class TaskPool {
   std::vector<std::unique_ptr<SyntheticWorkload>> synth_;
   std::vector<const ScheduledApp*> apps_;
   std::vector<const TimingModel*> timings_;
-  std::vector<CyclicTimeSource*> traces_;
+  std::vector<const TraceTimeSource*> traces_;
   std::vector<std::string> names_;
 };
 
@@ -137,7 +139,7 @@ class TaskPool {
 /// (coexistence margin over the members, then §2.2.2 overhead inflation)
 /// and per-task policy engines. This is the part admission control needs
 /// to evaluate a hypothetical placement — building it does NOT compose the
-/// schedules or touch the trace cursors.
+/// schedules or read the traces.
 struct MemberControllers {
   std::vector<std::size_t> members;                  ///< pool task ids
   std::vector<std::unique_ptr<ScheduledApp>> apps;   ///< budget-bearing

@@ -1,6 +1,7 @@
 #include "workload/trace_source.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "support/contract.hpp"
@@ -27,6 +28,11 @@ TimeNs TraceTimeSource::actual_time(ActionIndex i, Quality q) {
   return at(current_cycle_, i, q);
 }
 
+const TimeNs* TraceTimeSource::cycle_table(std::size_t cycle) const {
+  SPEEDQM_REQUIRE(cycle < data_.size(), "TraceTimeSource: cycle out of range");
+  return data_[cycle].data();
+}
+
 TimeNs TraceTimeSource::at(std::size_t cycle, ActionIndex i, Quality q) const {
   SPEEDQM_REQUIRE(cycle < data_.size(), "TraceTimeSource: cycle out of range");
   SPEEDQM_REQUIRE(i < n_, "TraceTimeSource: action out of range");
@@ -34,9 +40,9 @@ TimeNs TraceTimeSource::at(std::size_t cycle, ActionIndex i, Quality q) const {
   return data_[cycle][i * static_cast<std::size_t>(nq_) + static_cast<std::size_t>(q)];
 }
 
-ComposedCyclicSource::ComposedCyclicSource(const ComposedSystem& system,
-                                           std::vector<CyclicTimeSource*> sources)
-    : system_(&system), sources_(std::move(sources)) {
+ComposedCyclicSource::ComposedCyclicSource(
+    const ComposedSystem& system, std::vector<const TraceTimeSource*> sources)
+    : sources_(std::move(sources)), nq_(system.timing().num_levels()) {
   SPEEDQM_REQUIRE(sources_.size() == system.num_tasks(),
                   "ComposedCyclicSource: one source per task required");
   // Joint content period, computed once (the executor queries it every
@@ -47,9 +53,15 @@ ComposedCyclicSource::ComposedCyclicSource(const ComposedSystem& system,
   std::size_t cycles = 1;
   std::size_t longest = 1;
   bool capped = false;
-  for (const auto* s : sources_) {
+  for (std::size_t task = 0; task < sources_.size(); ++task) {
+    const TraceTimeSource* s = sources_[task];
     SPEEDQM_REQUIRE(s != nullptr && s->num_cycles() >= 1,
                     "ComposedCyclicSource: null or empty source");
+    // Checked in every build: the flat index below reads rows unchecked.
+    if (s->num_actions() != system.task_size(task) || s->num_levels() != nq_) {
+      throw contract_error(
+          "ComposedCyclicSource: trace shape does not match its task");
+    }
     const std::size_t n = s->num_cycles();
     longest = std::max(longest, n);
     if (!capped) {
@@ -62,17 +74,28 @@ ComposedCyclicSource::ComposedCyclicSource(const ComposedSystem& system,
     }
   }
   num_cycles_ = capped ? longest : cycles;
+
+  constexpr std::size_t kSlotMax = std::numeric_limits<std::uint32_t>::max();
+  slots_.reserve(system.app().size());
+  for (ActionIndex i = 0; i < system.app().size(); ++i) {
+    const TaskRef& ref = system.origin(i);
+    const std::size_t offset = ref.local_action * static_cast<std::size_t>(nq_);
+    if (ref.task > kSlotMax || offset > kSlotMax) {
+      throw contract_error(
+          "ComposedCyclicSource: composition too large to index");
+    }
+    slots_.push_back({static_cast<std::uint32_t>(ref.task),
+                      static_cast<std::uint32_t>(offset)});
+  }
+  rows_.resize(sources_.size());
+  set_cycle(0);
 }
 
 void ComposedCyclicSource::set_cycle(std::size_t cycle) {
-  for (auto* s : sources_) s->set_cycle(cycle % s->num_cycles());
-}
-
-std::size_t ComposedCyclicSource::num_cycles() const { return num_cycles_; }
-
-TimeNs ComposedCyclicSource::actual_time(ActionIndex i, Quality q) {
-  const TaskRef& ref = system_->origin(i);
-  return sources_[ref.task]->actual_time(ref.local_action, q);
+  for (std::size_t task = 0; task < sources_.size(); ++task) {
+    const TraceTimeSource& s = *sources_[task];
+    rows_[task] = s.cycle_table(cycle % s.num_cycles());
+  }
 }
 
 std::size_t TraceTimeSource::count_contract_violations(const TimingModel& tm) const {

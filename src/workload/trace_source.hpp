@@ -16,6 +16,7 @@
 #include "core/multi_task.hpp"
 #include "core/timing_model.hpp"
 #include "sim/executor.hpp"
+#include "support/contract.hpp"
 
 namespace speedqm {
 
@@ -32,6 +33,11 @@ class TraceTimeSource final : public CyclicTimeSource {
 
   /// Direct (cycle, action, quality) access for analysis and tests.
   TimeNs at(std::size_t cycle, ActionIndex i, Quality q) const;
+  /// One cycle's row-major [action][quality] table (num_actions *
+  /// num_levels entries), for readers that keep their own cursor.
+  const TimeNs* cycle_table(std::size_t cycle) const;
+  /// The cycle actual_time() currently reads (set by set_cycle).
+  std::size_t cycle() const { return current_cycle_; }
 
   ActionIndex num_actions() const { return n_; }
   int num_levels() const { return nq_; }
@@ -54,13 +60,16 @@ class TraceTimeSource final : public CyclicTimeSource {
   double clamp_fraction_ = 0.0;
 };
 
-/// Cyclic source over a ComposedSystem: fans set_cycle out to every task's
-/// own trace source (each wraps around its own content length) and maps
-/// composite actions back to (task, local action) on every read.
+/// Cyclic source over a ComposedSystem: maps composite actions back to
+/// (task, local action) through a flat per-action (task, row offset) index
+/// built at construction, and keeps its own per-task row pointers for the
+/// selected cycle (each task wraps around its own content length). The
+/// per-task traces are only read: selecting a cycle here never moves their
+/// cursors, so one pool's traces can back any number of sources at once.
 class ComposedCyclicSource final : public CyclicTimeSource {
  public:
   ComposedCyclicSource(const ComposedSystem& system,
-                       std::vector<CyclicTimeSource*> sources);
+                       std::vector<const TraceTimeSource*> sources);
 
   void set_cycle(std::size_t cycle) override;
   /// True content period of the composition, fixed at construction: the
@@ -68,12 +77,26 @@ class ComposedCyclicSource final : public CyclicTimeSource {
   /// so the joint content repeats at the LCM). Pathological mixes whose
   /// LCM explodes fall back to the longest task's length — shorter tasks
   /// then wrap non-uniformly.
-  std::size_t num_cycles() const override;
-  TimeNs actual_time(ActionIndex i, Quality q) override;
+  std::size_t num_cycles() const override { return num_cycles_; }
+  TimeNs actual_time(ActionIndex i, Quality q) override {
+    const Slot& slot = slots_.at(i);
+    SPEEDQM_REQUIRE(q >= 0 && q < nq_,
+                    "ComposedCyclicSource: quality out of range");
+    return rows_[slot.task][slot.offset + static_cast<std::size_t>(q)];
+  }
 
  private:
-  const ComposedSystem* system_;
-  std::vector<CyclicTimeSource*> sources_;
+  /// Composite action -> its task and the offset of its local action's
+  /// row inside that task's per-cycle table (32-bit: half the footprint).
+  struct Slot {
+    std::uint32_t task = 0;
+    std::uint32_t offset = 0;
+  };
+
+  std::vector<const TraceTimeSource*> sources_;
+  std::vector<Slot> slots_;
+  std::vector<const TimeNs*> rows_;  ///< per task: selected cycle's table
+  int nq_ = 0;
   std::size_t num_cycles_ = 1;
 };
 

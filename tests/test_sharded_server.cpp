@@ -11,10 +11,15 @@
 //   * arrival scenarios: segmented runs with joins/leaves stay
 //     deterministic and feasible-by-construction schedules validate;
 //   * executor resume hand-off: a run split at a cycle boundary with
-//     start_cycle/start_time equals the unsplit run.
+//     start_cycle/start_time equals the unsplit run;
+//   * the server's concrete shard loop equals the generic run_cyclic over
+//     the same memberships under S = 4 churn, and composed sources never
+//     move the pool's trace cursors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 
 #include "core/batch_engine.hpp"
 #include "core/feasibility.hpp"
@@ -25,6 +30,7 @@
 #include "support/contract.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/scenarios.hpp"
+#include "workload/trace_source.hpp"
 
 namespace speedqm {
 namespace {
@@ -55,6 +61,7 @@ void expect_summaries_identical(const RunSummary& a, const RunSummary& b) {
   EXPECT_EQ(a.smoothness.switches, b.smoothness.switches);
   EXPECT_EQ(a.smoothness.max_jump, b.smoothness.max_jump);
   EXPECT_EQ(a.relax_histogram, b.relax_histogram);
+  EXPECT_EQ(a.decision_latency_ns, b.decision_latency_ns);
 }
 
 // --- TaskPool refactor ------------------------------------------------------
@@ -96,6 +103,30 @@ TEST(TaskPool, BudgetForSubsetIsOrderConsistent) {
               2.0);
 }
 
+TEST(TaskPool, ComposedSourceReadsLeaveThePoolTracesUntouched) {
+  const MultiTaskMixSpec spec = small_mix_spec(4, 12);
+  auto pool = std::make_shared<TaskPool>(spec);
+  MultiTaskMix mix(pool, {2, 0, 3});
+  ComposedCyclicSource& source = mix.source();
+  const int nq = mix.composed().timing().num_levels();
+  for (std::size_t cycle = 0; cycle < 2 * source.num_cycles(); ++cycle) {
+    source.set_cycle(cycle % source.num_cycles());
+    for (ActionIndex i = 0; i < mix.composed().app().size(); ++i) {
+      const TaskRef& ref = mix.composed().origin(i);
+      const TraceTimeSource& trace = pool->trace(mix.members()[ref.task]);
+      for (Quality q = 0; q < nq; ++q) {
+        ASSERT_EQ(source.actual_time(i, q),
+                  trace.at(cycle % trace.num_cycles(), ref.local_action, q))
+            << "cycle " << cycle << " action " << i << " q " << q;
+      }
+    }
+  }
+  // Selecting cycles on the composed source never moved a pool trace.
+  for (std::size_t task = 0; task < pool->size(); ++task) {
+    EXPECT_EQ(pool->trace(task).cycle(), 0u) << "task " << task;
+  }
+}
+
 // --- S = 1 differential -----------------------------------------------------
 
 TEST(ShardedServer, SingleShardBitIdenticalToDirectBatchManager) {
@@ -131,6 +162,118 @@ TEST(ShardedServer, SingleShardBitIdenticalToDirectBatchManager) {
   EXPECT_EQ(serving.shards[0].clock, run.total_time);
   EXPECT_EQ(serving.total_steps, direct.total_steps);
   EXPECT_EQ(serving.mean_quality, direct.mean_quality);
+}
+
+// --- Concrete shard loop vs generic run_cyclic -----------------------------
+
+TEST(ShardedServer, MultiShardChurnMatchesGenericReplayOfItsMemberships) {
+  // S = 4 with joins and leaves: every shard runs several segments through
+  // the server's concrete step loop. Replaying the same memberships (taken
+  // from the server's own admission log) through the generic run_cyclic
+  // must reproduce each shard's summary and clock bit for bit.
+  ShardedServerSpec spec;
+  spec.mix = small_mix_spec(12, 404);
+  spec.num_shards = 4;
+  spec.num_workers = 2;
+  spec.cycles = 24;
+  spec.initial_tasks = 8;
+  spec.placement = PlacementPolicy::kMostSlack;
+  const ArrivalSchedule schedule =
+      make_arrival_schedule(12, spec.initial_tasks, spec.cycles, 10, 31);
+  ShardedServer server(spec, schedule);
+  const TimeNs budget = server.shard_budget();
+  const ServingSummary served = server.serve();
+
+  auto pool = std::make_shared<TaskPool>(spec.mix);
+  struct ReplayShard {
+    std::vector<std::size_t> members;
+    std::unique_ptr<MultiTaskMix> mix;
+    std::unique_ptr<BatchMultiTaskManager> manager;
+    RunSummaryAccumulator acc{"replay"};
+    TimeNs clock = 0;
+    std::size_t rebuilds = 0;
+    bool dirty = true;
+  };
+  std::vector<ReplayShard> shards(spec.num_shards);
+  std::size_t next_decision = 0;
+  const auto apply_join = [&](std::size_t task) {
+    ASSERT_LT(next_decision, served.admissions.size());
+    const AdmissionDecision& d = served.admissions[next_decision++];
+    ASSERT_EQ(d.task, task);
+    if (!d.admitted) return;
+    shards[d.shard].members.push_back(task);
+    shards[d.shard].dirty = true;
+  };
+  for (std::size_t task = 0; task < spec.initial_tasks; ++task) {
+    apply_join(task);
+  }
+
+  std::vector<std::size_t> cuts;
+  for (const std::size_t b : schedule.boundaries()) {
+    if (b > 0 && b < spec.cycles) cuts.push_back(b);
+  }
+  cuts.push_back(spec.cycles);
+  std::size_t cursor = 0;
+  for (const std::size_t next : cuts) {
+    for (ReplayShard& shard : shards) {
+      if (shard.dirty) {
+        shard.manager.reset();
+        shard.mix.reset();
+        if (!shard.members.empty()) {
+          shard.mix =
+              std::make_unique<MultiTaskMix>(pool, shard.members, budget);
+          shard.manager = std::make_unique<BatchMultiTaskManager>(
+              shard.mix->composed(), shard.mix->engines());
+          ++shard.rebuilds;
+        }
+        shard.dirty = false;
+      }
+      if (!shard.mix) continue;
+      ExecutorOptions opts = shard.mix->executor_options(next - cursor);
+      opts.retain_steps = false;
+      opts.retain_cycles = false;
+      opts.sink = &shard.acc;
+      opts.start_cycle = cursor;
+      opts.start_time = shard.clock;
+      QualityManager& manager = *shard.manager;
+      CyclicTimeSource& source = shard.mix->source();
+      shard.clock =
+          run_cyclic(shard.mix->composed().app(), manager, source, opts)
+              .total_time;
+    }
+    cursor = next;
+    if (cursor >= spec.cycles) break;
+    for (const ArrivalEvent& event : schedule.events_at(cursor)) {
+      if (event.join) {
+        apply_join(event.task);
+        continue;
+      }
+      for (ReplayShard& shard : shards) {
+        auto it = std::find(shard.members.begin(), shard.members.end(),
+                            event.task);
+        if (it != shard.members.end()) {
+          shard.members.erase(it);
+          shard.dirty = true;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(next_decision, served.admissions.size());
+
+  ASSERT_EQ(served.shards.size(), shards.size());
+  std::size_t segmented_shards = 0;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    EXPECT_EQ(served.shards[s].members, shards[s].members);
+    EXPECT_EQ(served.shards[s].rebuilds, shards[s].rebuilds);
+    expect_summaries_identical(served.shards[s].summary, shards[s].acc.finish());
+    EXPECT_EQ(served.shards[s].clock, shards[s].clock);
+    if (shards[s].rebuilds > 1) ++segmented_shards;
+  }
+  // The schedule really did split shards into several segments.
+  EXPECT_GE(segmented_shards, 2u);
+  EXPECT_GE(cuts.size(), 3u);
 }
 
 // --- Async manager ----------------------------------------------------------

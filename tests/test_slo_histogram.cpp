@@ -7,11 +7,13 @@
 //   * merge is associative and commutative across shard folds, with the
 //     default-constructed histogram as the identity;
 //   * values past 2^40 saturate into the overflow bucket (counted, exact
-//     max preserved) and u64 counters saturate instead of wrapping.
+//     max preserved) and u64 counters saturate instead of wrapping;
+//   * record(v, c) equals c repeated record(v) calls, saturation included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "serve/slo_histogram.hpp"
@@ -169,6 +171,48 @@ TEST(SloHistogram, CountersSaturateInsteadOfWrapping) {
   other.record(7, 10);
   h.merge(other);
   EXPECT_EQ(h.total_count(), std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(SloHistogram, CountedRecordEqualsRepeatedRecords) {
+  // record(v, c) must equal c calls of record(v) in every observable:
+  // the summary fold coalesces runs of equal latencies into one call.
+  const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t values[] = {0, 1, 3, 4, 7, 200, 12345,
+                                  (std::uint64_t{1} << 40) - 1,
+                                  std::uint64_t{1} << 40, kMax / 2 + 1, kMax};
+  for (const std::uint64_t v : values) {
+    for (const std::uint64_t c : {1u, 2u, 3u, 17u, 1000u}) {
+      SloHistogram counted;
+      SloHistogram repeated;
+      counted.record(5);  // a prior value, so min/max/sum are not fresh
+      repeated.record(5);
+      counted.record(v, c);
+      for (std::uint64_t k = 0; k < c; ++k) repeated.record(v);
+      SCOPED_TRACE("value " + std::to_string(v) + " count " +
+                   std::to_string(c));
+      EXPECT_EQ(counted.total_count(), repeated.total_count());
+      EXPECT_EQ(counted.sum(), repeated.sum());
+      EXPECT_EQ(counted.min_value(), repeated.min_value());
+      EXPECT_EQ(counted.max_value(), repeated.max_value());
+      for (std::size_t b = 0; b < SloHistogram::kNumBuckets; ++b) {
+        EXPECT_EQ(counted.count_at(b), repeated.count_at(b)) << "bucket " << b;
+      }
+      EXPECT_EQ(counted, repeated);
+    }
+  }
+  // A sum that saturates at 2^64 - 1 saturates the same way both ways.
+  SloHistogram counted;
+  SloHistogram repeated;
+  counted.record(kMax / 2 + 1, 2);
+  repeated.record(kMax / 2 + 1);
+  repeated.record(kMax / 2 + 1);
+  EXPECT_EQ(counted.sum(), kMax);
+  EXPECT_EQ(repeated.sum(), kMax);
+  EXPECT_EQ(counted, repeated);
+  // A zero count records nothing.
+  SloHistogram none;
+  none.record(42, 0);
+  EXPECT_EQ(none, SloHistogram{});
 }
 
 TEST(SloHistogram, MemoryFootprintIsFixed) {

@@ -6,7 +6,8 @@
 //   * retain_cycles = false with retain_steps = true (and vice versa)
 //     keep exactly the requested vectors;
 //   * zero-length streams through RunSummaryAccumulator produce a
-//     well-defined all-zero summary (no division by zero / NaN);
+//     well-defined all-zero summary (no division by zero / NaN), and
+//     finish() mid-stream leaves the fold undisturbed;
 //   * the real-time fields (lag / overrun / degraded) fold correctly
 //     through the accumulator, across split-run handoffs, and through the
 //     serving-level shard-order fold.
@@ -214,6 +215,48 @@ TEST(StreamingEdges, AccumulatorMatchesEarlyStoppedRun) {
   EXPECT_EQ(streamed.manager_calls, replayed.manager_calls);
   EXPECT_EQ(streamed.total_ops, replayed.total_ops);
   EXPECT_EQ(streamed.relax_histogram, replayed.relax_histogram);
+}
+
+TEST(StreamingEdges, FinishMidStreamDoesNotDisturbTheFold) {
+  // finish() folds the accumulator's open latency run into the returned
+  // summary only: two calls mid-stream agree, and the stream continued
+  // afterwards folds exactly like one never interrupted.
+  RunSummaryAccumulator interrupted("acc");
+  RunSummaryAccumulator straight("acc");
+  SloHistogram per_step;
+  const TimeNs overheads[] = {200, 200, 200, 350, 350, 200, 0, 0, 200, 350};
+  const auto feed = [&](std::size_t k) {
+    ExecStep step;
+    step.quality = static_cast<Quality>(k % 4);
+    step.duration = 1000;
+    step.manager_called = k % 3 != 2;
+    step.overhead = step.manager_called ? overheads[k % 10] : 0;
+    step.ops = k;
+    interrupted.on_step(step);
+    straight.on_step(step);
+    if (step.manager_called) {
+      per_step.record(static_cast<std::uint64_t>(step.overhead));
+    }
+  };
+  for (std::size_t k = 0; k < 14; ++k) feed(k);
+  const RunSummary first = interrupted.finish();
+  const RunSummary second = interrupted.finish();
+  EXPECT_EQ(first.decision_latency_ns, second.decision_latency_ns);
+  EXPECT_EQ(first.decision_latency_ns, per_step);
+  EXPECT_EQ(first.total_steps, second.total_steps);
+  EXPECT_EQ(first.manager_calls, second.manager_calls);
+  EXPECT_EQ(first.total_ops, second.total_ops);
+  EXPECT_EQ(first.mean_quality, second.mean_quality);
+  EXPECT_EQ(first.relax_histogram, second.relax_histogram);
+
+  for (std::size_t k = 14; k < 40; ++k) feed(k);
+  const RunSummary resumed = interrupted.finish();
+  const RunSummary whole = straight.finish();
+  EXPECT_EQ(resumed.decision_latency_ns, whole.decision_latency_ns);
+  EXPECT_EQ(resumed.decision_latency_ns, per_step);
+  EXPECT_EQ(resumed.total_steps, whole.total_steps);
+  EXPECT_EQ(resumed.manager_calls, whole.manager_calls);
+  EXPECT_EQ(resumed.mean_quality, whole.mean_quality);
 }
 
 TEST(StreamingEdges, AccumulatorFoldsRealtimeStepFields) {

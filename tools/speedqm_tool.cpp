@@ -15,9 +15,13 @@
 //   speedqm_tool run --traces mpeg.traces --tables mpeg --manager relaxation
 //   speedqm_tool inspect --tables mpeg
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -71,6 +75,52 @@ std::string get(const ArgMap& args, const std::string& key,
   return it == args.end() ? fallback : it->second;
 }
 
+/// Strict numeric flag values (serve, multitask and the shared real-time
+/// flags): the whole value must be an unsigned decimal number — no sign,
+/// no whitespace, no trailing characters — inside the target type's range.
+/// Anything else is a usage error (exit 64), never a wrapped, truncated or
+/// defaulted value.
+[[noreturn]] void bad_number(const std::string& key, const std::string& value,
+                             const char* expected) {
+  std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", key.c_str(),
+               expected, value.c_str());
+  std::exit(64);
+}
+
+std::uint64_t parse_uint(const ArgMap& args, const std::string& key,
+                         std::uint64_t fallback,
+                         std::uint64_t max =
+                             std::numeric_limits<std::uint64_t>::max()) {
+  const auto it = args.find(key);
+  if (it == args.end()) return fallback;
+  const std::string& value = it->second;
+  const char* const end = value.data() + value.size();
+  std::uint64_t out = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0])) ||
+      ec != std::errc() || ptr != end || out > max) {
+    bad_number(key, value,
+               ("a non-negative integer <= " + std::to_string(max)).c_str());
+  }
+  return out;
+}
+
+double parse_real(const ArgMap& args, const std::string& key,
+                  double fallback) {
+  const auto it = args.find(key);
+  if (it == args.end()) return fallback;
+  const std::string& value = it->second;
+  const char* const end = value.data() + value.size();
+  double out = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() ||
+      !(std::isdigit(static_cast<unsigned char>(value[0])) || value[0] == '.') ||
+      ec != std::errc() || ptr != end || !std::isfinite(out)) {
+    bad_number(key, value, "a finite non-negative number");
+  }
+  return out;
+}
+
 /// Enum-style flag parsing: the value must be one of `valid`, otherwise the
 /// tool exits with a message listing every accepted option (a typo must
 /// never silently fall back to a default).
@@ -108,23 +158,24 @@ RealtimeArgs realtime_from(const ArgMap& args, const char* command) {
       parse_choice(args, "clock", "sim", {"sim", "wall", "virtual"}, command);
   if (clock == "wall") rt.clock = ClockMode::kWall;
   if (clock == "virtual") rt.clock = ClockMode::kVirtual;
-  rt.wall_per_sim = std::stod(get(args, "wall-scale", "1.0"));
+  rt.wall_per_sim = parse_real(args, "wall-scale", 1.0);
   if (rt.clock != ClockMode::kSim && rt.wall_per_sim <= 0.0) {
     std::fprintf(stderr, "error: --wall-scale must be > 0\n");
     std::exit(64);
   }
   rt.governor.enabled =
       parse_choice(args, "governor", "on", {"on", "off"}, command) == "on";
-  rt.governor.degrade_budget = std::stod(get(args, "governor-degrade", "0.5"));
-  rt.governor.shed_budget = std::stod(get(args, "governor-shed", "2.0"));
+  rt.governor.degrade_budget = parse_real(args, "governor-degrade", 0.5);
+  rt.governor.shed_budget = parse_real(args, "governor-shed", 2.0);
   rt.governor.readmit_budget =
-      std::stod(get(args, "governor-readmit", "0.125"));
+      parse_real(args, "governor-readmit", 0.125);
   rt.governor.hysteresis_cycles = static_cast<std::size_t>(
-      std::stoull(get(args, "governor-hysteresis", "4")));
+      parse_uint(args, "governor-hysteresis", 4));
   rt.governor.check_cycles = static_cast<std::size_t>(
-      std::stoull(get(args, "governor-check", "8")));
+      parse_uint(args, "governor-check", 8));
   rt.watchdog.max_retries =
-      static_cast<int>(std::stoll(get(args, "watchdog-retries", "3")));
+      static_cast<int>(parse_uint(
+      args, "watchdog-retries", 3, std::numeric_limits<int>::max()));
   return rt;
 }
 
@@ -147,7 +198,7 @@ std::vector<std::string> workload_choices() {
 
 PaperScenario scenario_from(const ArgMap& args) {
   const auto seed = static_cast<std::uint64_t>(
-      std::stoull(get(args, "seed", "20070326")));
+      parse_uint(args, "seed", 20070326));
   return make_paper_scenario(seed);
 }
 
@@ -286,12 +337,12 @@ int cmd_run(const ArgMap& args) {
 // optional streaming replay (no per-step records, O(1) memory per step).
 int cmd_multitask(const ArgMap& args) {
   MultiTaskMixSpec spec;
-  spec.num_tasks = static_cast<std::size_t>(std::stoull(get(args, "tasks", "8")));
+  spec.num_tasks = static_cast<std::size_t>(parse_uint(args, "tasks", 8));
   spec.seed = static_cast<std::uint64_t>(
-      std::stoull(get(args, "seed", "20070730")));
-  spec.budget_factor = std::stod(get(args, "factor", "1.10"));
+      parse_uint(args, "seed", 20070730));
+  spec.budget_factor = parse_real(args, "factor", 1.10);
   const auto cycles =
-      static_cast<std::size_t>(std::stoull(get(args, "cycles", "64")));
+      static_cast<std::size_t>(parse_uint(args, "cycles", 64));
   const std::string flavor = parse_choice(
       args, "manager", "batch", {"batch", "batch-incremental", "sequential"},
       "multitask");
@@ -517,15 +568,15 @@ int cmd_multitask(const ArgMap& args) {
 int cmd_serve(const ArgMap& args) {
   ShardedServerSpec spec;
   spec.mix.num_tasks =
-      static_cast<std::size_t>(std::stoull(get(args, "tasks", "32")));
+      static_cast<std::size_t>(parse_uint(args, "tasks", 32));
   spec.mix.seed =
-      static_cast<std::uint64_t>(std::stoull(get(args, "seed", "20070730")));
-  spec.mix.budget_factor = std::stod(get(args, "factor", "1.10"));
+      static_cast<std::uint64_t>(parse_uint(args, "seed", 20070730));
+  spec.mix.budget_factor = parse_real(args, "factor", 1.10);
   spec.num_shards =
-      static_cast<std::size_t>(std::stoull(get(args, "shards", "4")));
+      static_cast<std::size_t>(parse_uint(args, "shards", 4));
   spec.num_workers =
-      static_cast<std::size_t>(std::stoull(get(args, "workers", "0")));
-  spec.cycles = static_cast<std::size_t>(std::stoull(get(args, "cycles", "64")));
+      static_cast<std::size_t>(parse_uint(args, "workers", 0));
+  spec.cycles = static_cast<std::size_t>(parse_uint(args, "cycles", 64));
   spec.async_manager = args.count("async") > 0;
   const std::string arena =
       parse_choice(args, "arena", "flat", {"flat", "compressed"}, "serve");
@@ -563,7 +614,7 @@ int cmd_serve(const ArgMap& args) {
   const std::string workload_name =
       parse_choice(args, "workload", "none", workload_choices(), "serve");
   const auto arrivals =
-      static_cast<std::size_t>(std::stoull(get(args, "arrivals", "0")));
+      static_cast<std::size_t>(parse_uint(args, "arrivals", 0));
   if (workload_name != "none" && arrivals > 0) {
     std::fprintf(stderr, "error: --workload and --arrivals both script the "
                          "session churn; pick one\n");
@@ -580,8 +631,8 @@ int cmd_serve(const ArgMap& args) {
     wspec.initial_tasks = spec.mix.num_tasks - std::min(
         spec.mix.num_tasks / 4 + 1, spec.mix.num_tasks - 1);
     if (args.count("initial") > 0) {
-      wspec.initial_tasks = static_cast<std::size_t>(
-          std::stoull(get(args, "initial", "0")));
+      wspec.initial_tasks =
+          static_cast<std::size_t>(parse_uint(args, "initial", 0));
     }
     const std::size_t cli_initial = wspec.initial_tasks;
     parse_workload_params(get(args, "workload-spec", ""), wspec);
@@ -638,18 +689,18 @@ int cmd_serve(const ArgMap& args) {
     // Hold back ~1/4 of the pool so the arrival wave has tasks to add.
     spec.initial_tasks = spec.mix.num_tasks - std::min(
         spec.mix.num_tasks / 4 + 1, spec.mix.num_tasks - 1);
-    spec.initial_tasks = static_cast<std::size_t>(std::stoull(
-        get(args, "initial", std::to_string(spec.initial_tasks))));
+    spec.initial_tasks = static_cast<std::size_t>(
+        parse_uint(args, "initial", spec.initial_tasks));
     schedule = make_arrival_schedule(spec.mix.num_tasks, spec.initial_tasks,
                                      spec.cycles, arrivals, spec.mix.seed ^ 0x5e);
     std::printf("arrival script : %s\n", schedule.describe().c_str());
   } else if (args.count("initial") > 0) {
     spec.initial_tasks =
-        static_cast<std::size_t>(std::stoull(get(args, "initial", "0")));
+        static_cast<std::size_t>(parse_uint(args, "initial", 0));
   }
 
   const std::size_t frontend_producers =
-      static_cast<std::size_t>(std::stoull(get(args, "frontend", "0")));
+      static_cast<std::size_t>(parse_uint(args, "frontend", 0));
   std::unique_ptr<ServeFrontend> frontend;
   if (frontend_producers > 0) {
     // Route the arrival script through the ingest front-end: N producer
@@ -704,7 +755,7 @@ int cmd_serve(const ArgMap& args) {
   const std::string slo_out = get(args, "slo-out", "");
   if (!slo_out.empty()) {
     SloArtifactOptions slo;
-    slo.target_miss_rate = std::stod(get(args, "slo-target", "0.05"));
+    slo.target_miss_rate = parse_real(args, "slo-target", 0.05);
     if (!write_slo_artifact(slo_out, summary, slo)) {
       std::fprintf(stderr, "error: cannot write SLO artifact to %s\n",
                    slo_out.c_str());
