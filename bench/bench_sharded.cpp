@@ -1,15 +1,13 @@
 // Experiment S1 — sharded multi-clock serving (serve/ShardedServer).
 //
-// Four claims, three gated everywhere and one gated where hardware allows:
+// Three claims, two gated everywhere and one gated where hardware allows:
 //   1. Degenerate equivalence: S = 1 sharded serving is bit-identical to
 //      the PR-3 path (BatchMultiTaskManager over MultiTaskMix) — same
 //      steps, same mean quality bits, same decision ops.
 //   2. Admission determinism: the AdmissionDecision log and every shard
 //      summary are identical for 1 and N worker threads (admission runs
 //      on the control thread at segment barriers only).
-//   3. Async-manager equivalence: routing every shard's engine through a
-//      manager thread + DecisionExchange changes no result bit.
-//   4. Scaling (needs >= 4 hardware threads, else SKIP): serving the
+//   3. Scaling (needs >= 4 hardware threads, else SKIP): serving the
 //      T = 32 mix on S = 4 shards with 4 workers is >= 3x the S = 1
 //      single-clock throughput (most-slack placement, min over repeats).
 //
@@ -143,28 +141,7 @@ bool check_admission_determinism() {
   return ok;
 }
 
-/// Gate 3: async manager invocation is result-invisible.
-bool check_async_equivalence() {
-  const std::size_t cycles = 12;
-  ShardedServerSpec inline_spec = server_spec(2, 1, cycles);
-  ShardedServerSpec async_spec = inline_spec;
-  async_spec.async_manager = true;
-
-  const ServingSummary a = ShardedServer(inline_spec).serve();
-  const ServingSummary b = ShardedServer(async_spec).serve();
-  bool same = a.shards.size() == b.shards.size();
-  if (same) {
-    for (std::size_t s = 0; s < a.shards.size(); ++s) {
-      same &= summaries_identical(a.shards[s].summary, b.shards[s].summary);
-    }
-  }
-  return shape_check(
-      "async manager (decision exchange off the action thread) bit-identical "
-      "to inline engine",
-      same);
-}
-
-/// JSON cells + gate 4: serial per-step cost per S, and the hardware-gated
+/// JSON cells + gate 3: serial per-step cost per S, and the hardware-gated
 /// S = 4 scaling factor.
 bool measure_and_gate_scaling(std::vector<DecisionBenchRecord>& records) {
   bool ok = true;
@@ -301,7 +278,6 @@ int main() {
   bool ok = true;
   ok &= check_degenerate_equivalence(32);
   ok &= check_admission_determinism();
-  ok &= check_async_equivalence();
   ok &= measure_and_gate_scaling(records);
 
   write_decision_bench_json("BENCH_sharded.json", "sharded_serving", records);

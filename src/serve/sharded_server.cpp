@@ -7,7 +7,6 @@
 #include <mutex>
 #include <thread>
 
-#include "serve/async_manager.hpp"
 #include "sim/executor_loop.hpp"
 #include "support/contract.hpp"
 
@@ -62,8 +61,14 @@ class ArmGuard {
 ShardedServer::ShardedServer(const ShardedServerSpec& spec,
                              ArrivalSchedule schedule)
     : spec_(spec), schedule_(std::move(schedule)) {
-  SPEEDQM_REQUIRE(spec.num_shards >= 1, "ShardedServer: need >= 1 shard");
-  SPEEDQM_REQUIRE(spec.cycles >= 1, "ShardedServer: need >= 1 cycle");
+  // Checked in every build: zero shards would divide the budget by zero,
+  // and a zero horizon would serve nothing yet report a clean run.
+  if (spec.num_shards < 1) {
+    throw contract_error("ShardedServer: num_shards must be >= 1");
+  }
+  if (spec.cycles < 1) {
+    throw contract_error("ShardedServer: cycles must be >= 1");
+  }
   pool_ = std::make_shared<TaskPool>(spec.mix);
   if (spec_.initial_tasks == static_cast<std::size_t>(-1) ||
       spec_.initial_tasks > pool_->size()) {
@@ -152,15 +157,9 @@ void ShardedServer::rebuild_shard(Shard& shard) {
   if (!shard.members.empty()) {
     shard.mix = std::make_unique<MultiTaskMix>(pool_, shard.members,
                                                shard_budget_);
-    if (spec_.async_manager) {
-      shard.manager = std::make_unique<AsyncBatchMultiTaskManager>(
-          shard.mix->composed(), shard.mix->engines(), spec_.mode,
-          spec_.layout, spec_.kernel);
-    } else {
-      shard.manager = std::make_unique<BatchMultiTaskManager>(
-          shard.mix->composed(), shard.mix->engines(), spec_.mode,
-          spec_.layout, spec_.kernel);
-    }
+    shard.manager = std::make_unique<BatchMultiTaskManager>(
+        shard.mix->composed(), shard.mix->engines(), spec_.mode,
+        spec_.layout, spec_.kernel);
     if (!spec_.perturb.empty()) {
       // The cursor (scenario + shard salt) survives rebuilds; only the
       // wrappers around the fresh mix/manager are rebuilt. Horizon =
@@ -215,31 +214,38 @@ void ShardedServer::place_initial_tasks() {
   }
 }
 
+bool ShardedServer::join(std::size_t task, std::size_t cycle) {
+  std::vector<std::vector<std::size_t>> memberships;
+  memberships.reserve(shards_.size());
+  for (const Shard& shard : shards_) memberships.push_back(shard.members);
+  AdmissionDecision decision = admission_->admit(task, memberships, cycle);
+  const bool admitted = decision.admitted;
+  if (admitted) {
+    shards_[decision.shard].members.push_back(task);
+    shards_[decision.shard].dirty = true;
+  }
+  admissions_.push_back(std::move(decision));
+  return admitted;
+}
+
+bool ShardedServer::leave(std::size_t task) {
+  for (Shard& shard : shards_) {
+    const auto it = std::find(shard.members.begin(), shard.members.end(), task);
+    if (it == shard.members.end()) continue;
+    shard.members.erase(it);
+    shard.dirty = true;
+    return true;
+  }
+  return false;
+}
+
 void ShardedServer::apply_events(std::size_t cycle) {
   for (const ArrivalEvent& event : schedule_.events_at(cycle)) {
-    if (!event.join) {
-      for (Shard& shard : shards_) {
-        auto it = std::find(shard.members.begin(), shard.members.end(),
-                            event.task);
-        if (it != shard.members.end()) {
-          shard.members.erase(it);
-          shard.dirty = true;
-          ++leaves_;
-          break;
-        }
-      }
-      continue;
+    if (event.join) {
+      join(event.task, cycle);
+    } else if (leave(event.task)) {
+      ++leaves_;
     }
-    std::vector<std::vector<std::size_t>> memberships;
-    memberships.reserve(shards_.size());
-    for (const Shard& shard : shards_) memberships.push_back(shard.members);
-    AdmissionDecision decision = admission_->admit(event.task, memberships,
-                                                   cycle);
-    if (decision.admitted) {
-      shards_[decision.shard].members.push_back(event.task);
-      shards_[decision.shard].dirty = true;
-    }
-    admissions_.push_back(std::move(decision));
   }
 }
 
@@ -251,47 +257,28 @@ void ShardedServer::apply_frontend(std::size_t cycle) {
       continue;
     }
     if (r.kind == RequestKind::kLeave) {
-      bool found = false;
-      for (Shard& shard : shards_) {
-        auto it = std::find(shard.members.begin(), shard.members.end(),
-                            r.task);
-        if (it != shard.members.end()) {
-          shard.members.erase(it);
-          shard.dirty = true;
-          ++leaves_;
-          ++frontend_applied_;
-          found = true;
-          break;
-        }
+      if (leave(r.task)) {
+        ++leaves_;
+        ++frontend_applied_;
+      } else {
+        ++frontend_dropped_;
       }
-      if (!found) ++frontend_dropped_;
       continue;
     }
     // A join for a task already resident somewhere is a racy duplicate —
     // drop it (counted) rather than double-admit; ArrivalSchedules cannot
     // express this state, so the differential paths never disagree here.
-    bool present = false;
-    for (const Shard& shard : shards_) {
-      if (std::find(shard.members.begin(), shard.members.end(), r.task) !=
-          shard.members.end()) {
-        present = true;
-        break;
-      }
-    }
+    const bool present = std::any_of(
+        shards_.begin(), shards_.end(), [&r](const Shard& shard) {
+          return std::find(shard.members.begin(), shard.members.end(),
+                           r.task) != shard.members.end();
+        });
     if (present) {
       ++frontend_dropped_;
       continue;
     }
-    std::vector<std::vector<std::size_t>> memberships;
-    memberships.reserve(shards_.size());
-    for (const Shard& shard : shards_) memberships.push_back(shard.members);
-    AdmissionDecision decision = admission_->admit(r.task, memberships, cycle);
-    if (decision.admitted) {
-      shards_[decision.shard].members.push_back(r.task);
-      shards_[decision.shard].dirty = true;
-    }
+    join(r.task, cycle);
     ++frontend_applied_;
-    admissions_.push_back(std::move(decision));
   }
 }
 
@@ -323,19 +310,11 @@ void ShardedServer::apply_governor(std::size_t cycle) {
       still_parked.push_back(parked);
       continue;
     }
-    std::vector<std::vector<std::size_t>> memberships;
-    memberships.reserve(shards_.size());
-    for (const Shard& shard : shards_) memberships.push_back(shard.members);
-    AdmissionDecision decision =
-        admission_->admit(parked.task, memberships, cycle);
-    if (decision.admitted) {
-      shards_[decision.shard].members.push_back(parked.task);
-      shards_[decision.shard].dirty = true;
+    if (join(parked.task, cycle)) {
       ++readmitted_tasks_;
     } else {
       still_parked.push_back(parked);
     }
-    admissions_.push_back(std::move(decision));
   }
   parked_ = std::move(still_parked);
 }
@@ -350,13 +329,12 @@ void ShardedServer::run_shard_segment(Shard& shard, std::size_t start_cycle,
   opts.start_time = shard.clock;
   const ScheduledApp& app = shard.mix->composed().app();
 
-  // A shard without decorators (no perturbation, pacer or tap, and the
-  // inline manager: the serve default) runs the step loop over its final
-  // concrete types, so every per-step call binds statically. Decorated
-  // shards run the same loop over the abstract interfaces.
-  auto* const batch = dynamic_cast<BatchMultiTaskManager*>(shard.manager.get());
-  if (batch && !shard.pmanager && !shard.pacer && !spec_.tap) {
-    shard.clock = run_cyclic_loop(app, *batch, shard.mix->source(),
+  // A shard without decorators (no perturbation, pacer or tap: the serve
+  // default) runs the step loop over its final concrete types, so every
+  // per-step call binds statically. Decorated shards run the same loop
+  // over the abstract interfaces.
+  if (!shard.pmanager && !shard.pacer && !spec_.tap) {
+    shard.clock = run_cyclic_loop(app, *shard.manager, shard.mix->source(),
                                   shard.acc.get(), opts)
                       .total_time;
     return;
@@ -415,10 +393,9 @@ void ShardedServer::run_segment(std::size_t start_cycle, std::size_t cycles) {
                                             ? shards_.size()
                                             : spec_.num_workers,
                                         shards_.size()));
-  // Any exception escaping a shard segment — a throwing sink, an engine
-  // contract failure, a manager-thread fault — is wrapped into a
-  // ServeError attributing the failing shard, instead of escaping a
-  // worker thread to std::terminate.
+  // Any exception escaping a shard segment — a throwing sink or tap, an
+  // engine contract failure — is wrapped into a ServeError attributing the
+  // failing shard, instead of escaping a worker thread to std::terminate.
   if (workers == 1) {
     for (Shard& shard : shards_) {
       try {

@@ -4,9 +4,8 @@
 //
 // Scale-out shape (the II-CC-FF "shard -> combine" paradigm): the task
 // pool is partitioned across shards; each shard composes ITS members into
-// one interleaved schedule, decides them with one BatchDecisionEngine (or
-// its async twin — serve/async_manager.hpp — whose engine runs on a
-// dedicated manager thread), executes cycles against its own platform
+// one interleaved schedule, decides them inline on the action thread with
+// one BatchMultiTaskManager, executes cycles against its own platform
 // clock, and folds its steps through a private RunSummaryAccumulator.
 // Shards share nothing mutable: a task belongs to at most one shard, and
 // the pool's traces are read-only while serving (each shard's composed
@@ -80,9 +79,6 @@ struct ShardedServerSpec {
   std::size_t num_workers = 0;
   /// Serving horizon: cycles each shard executes.
   std::size_t cycles = 64;
-  /// Route every shard's engine through a manager thread + decision
-  /// exchange instead of deciding inline on the action thread.
-  bool async_manager = false;
   BatchDecisionEngine::Mode mode = BatchDecisionEngine::Mode::kTabled;
   /// Arena layout of every shard's engine (tabled mode): kCompressed
   /// serves the same decisions from the delta-coded tables — bit-identical
@@ -140,6 +136,9 @@ struct ShardedServerSpec {
 
 class ShardedServer {
  public:
+  /// Throws contract_error, in every build, when spec.num_shards,
+  /// spec.cycles or spec.mix.num_tasks is 0, or spec.mix.budget_factor is
+  /// not a finite number > 0.
   explicit ShardedServer(const ShardedServerSpec& spec,
                          ArrivalSchedule schedule = {});
   ~ShardedServer();
@@ -160,7 +159,7 @@ class ShardedServer {
     std::size_t index = 0;
     std::vector<std::size_t> members;
     std::unique_ptr<MultiTaskMix> mix;              // null while empty
-    std::unique_ptr<MultiTaskEpochManager> manager;
+    std::unique_ptr<BatchMultiTaskManager> manager;
     std::unique_ptr<RunSummaryAccumulator> acc;
     // Perturbation decorators (null when the scenario is empty — the
     // unperturbed code path does not change at all). The cursor is salted
@@ -186,6 +185,13 @@ class ShardedServer {
   };
 
   void place_initial_tasks();
+  /// Asks admission control to place `task` at `cycle`; an admitted task
+  /// joins the chosen shard (marked for rebuild). Every decision is
+  /// logged in admissions_. Returns whether the task was admitted.
+  bool join(std::size_t task, std::size_t cycle);
+  /// Removes `task` from the shard holding it (marked for rebuild);
+  /// returns false when no shard holds it.
+  bool leave(std::size_t task);
   void apply_events(std::size_t cycle);
   /// Applies the front-end requests matured at `cycle` (no-op without a
   /// front-end): leaves erase the member, joins go through admission.

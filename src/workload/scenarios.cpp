@@ -1,6 +1,7 @@
 #include "workload/scenarios.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "sim/platform.hpp"
@@ -107,7 +108,14 @@ std::unique_ptr<ScheduledApp> with_shared_budget(const ScheduledApp& app,
 }  // namespace
 
 TaskPool::TaskPool(const MultiTaskMixSpec& spec) : spec_(spec) {
-  SPEEDQM_REQUIRE(spec.num_tasks >= 1, "TaskPool: need at least one task");
+  // Checked in every build: an empty pool or a non-positive budget would
+  // serve nothing yet report a clean run.
+  if (spec.num_tasks < 1) {
+    throw contract_error("TaskPool: num_tasks must be >= 1");
+  }
+  if (!(std::isfinite(spec.budget_factor) && spec.budget_factor > 0)) {
+    throw contract_error("TaskPool: budget_factor must be finite and > 0");
+  }
   SPEEDQM_REQUIRE(spec.num_levels >= 2, "TaskPool: need >= 2 quality levels");
   SPEEDQM_REQUIRE(spec.min_task_actions >= 2 &&
                       spec.min_task_actions <= spec.max_task_actions,

@@ -101,6 +101,8 @@ struct MultiTaskMixSpec {
 /// number of shards and assemblies may read one pool concurrently.
 class TaskPool {
  public:
+  /// Throws contract_error, in every build, when spec.num_tasks is 0 or
+  /// spec.budget_factor is not a finite number > 0.
   explicit TaskPool(const MultiTaskMixSpec& spec);
 
   const MultiTaskMixSpec& spec() const { return spec_; }

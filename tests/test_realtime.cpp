@@ -9,8 +9,8 @@
 //     and the GovernedManager quality clamp;
 //   * split-vs-unsplit segment replay through a persistent pacer
 //     (prepare_cycle's exactly-once stall injection);
-//   * structured ServeError from a throwing per-step tap on a worker
-//     thread, and async-manager-thread failure capture;
+//   * structured ServeError from a throwing per-step tap, on the control
+//     thread and on a worker thread;
 //   * the exit-code taxonomy (run_verdict / serving_verdict / exit_code);
 //   * host WatchdogThread hang alarms on armed, heartbeat-silent pacers.
 #include <gtest/gtest.h>
@@ -23,14 +23,12 @@
 #include <vector>
 
 #include "core/batch_engine.hpp"
-#include "serve/async_manager.hpp"
 #include "serve/serving_summary.hpp"
 #include "serve/sharded_server.hpp"
 #include "sim/executor.hpp"
 #include "sim/metrics.hpp"
 #include "sim/perturb.hpp"
 #include "sim/realtime.hpp"
-#include "support/contract.hpp"
 #include "workload/scenarios.hpp"
 
 namespace speedqm {
@@ -450,19 +448,6 @@ TEST(ServeError, WorkerThreadExceptionIsWrappedNotTerminal) {
     EXPECT_LT(e.shard(), 3u);
     EXPECT_EQ(e.start_cycle(), 0u);
   }
-}
-
-TEST(ServeError, AsyncManagerConstructionFailureRethrownOnCaller) {
-  // A null engine fails BatchDecisionEngine construction on the manager
-  // thread; the constructor must join the thread and rethrow here instead
-  // of deadlocking on the exchange or calling std::terminate.
-  const MultiTaskMixSpec mix_spec = small_mix_spec(3, 21);
-  MultiTaskMix mix(mix_spec);
-  std::vector<const PolicyEngine*> engines = mix.engines();
-  engines[1] = nullptr;
-  EXPECT_THROW(
-      AsyncBatchMultiTaskManager(mix.composed(), std::move(engines)),
-      contract_error);
 }
 
 // --- Exit-code taxonomy -----------------------------------------------------

@@ -4,10 +4,10 @@
 //     decision ops, step-for-step quality stream);
 //   * TaskPool/MultiTaskMix refactor: pool-assembled all-members mixes
 //     reproduce the historical spec-constructed mix exactly;
-//   * async manager invocation (manager thread + decision exchange) is
-//     bit-identical to the inline engine;
 //   * admission decisions are deterministic and identical across worker
 //     counts, with rejections on overload;
+//   * zero-sized specs (shards, cycles, tasks, budget factor) throw
+//     contract_error;
 //   * arrival scenarios: segmented runs with joins/leaves stay
 //     deterministic and feasible-by-construction schedules validate;
 //   * executor resume hand-off: a run split at a cycle boundary with
@@ -18,13 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "core/batch_engine.hpp"
 #include "core/feasibility.hpp"
 #include "serve/admission.hpp"
-#include "serve/async_manager.hpp"
 #include "serve/sharded_server.hpp"
 #include "sim/metrics.hpp"
 #include "support/contract.hpp"
@@ -276,59 +276,6 @@ TEST(ShardedServer, MultiShardChurnMatchesGenericReplayOfItsMemberships) {
   EXPECT_GE(cuts.size(), 3u);
 }
 
-// --- Async manager ----------------------------------------------------------
-
-TEST(AsyncManager, BitIdenticalToInlineEngine) {
-  const MultiTaskMixSpec mix_spec = small_mix_spec(4, 33);
-  const std::size_t cycles = 6;
-
-  MultiTaskMix mix_sync(mix_spec);
-  BatchMultiTaskManager sync_manager(mix_sync.composed(), mix_sync.engines());
-  RunSummaryAccumulator sync_acc("sync");
-  ExecutorOptions opts = mix_sync.executor_options(cycles);
-  opts.retain_steps = false;
-  opts.retain_cycles = false;
-  opts.sink = &sync_acc;
-  run_cyclic(mix_sync.composed().app(), sync_manager, mix_sync.source(), opts);
-
-  MultiTaskMix mix_async(mix_spec);
-  AsyncBatchMultiTaskManager async_manager(mix_async.composed(),
-                                           mix_async.engines());
-  RunSummaryAccumulator async_acc("async");
-  ExecutorOptions aopts = mix_async.executor_options(cycles);
-  aopts.retain_steps = false;
-  aopts.retain_cycles = false;
-  aopts.sink = &async_acc;
-  run_cyclic(mix_async.composed().app(), async_manager, mix_async.source(),
-             aopts);
-
-  expect_summaries_identical(sync_acc.finish(), async_acc.finish());
-  EXPECT_EQ(async_manager.memory_bytes(), sync_manager.memory_bytes());
-  EXPECT_EQ(async_manager.num_table_integers(),
-            sync_manager.num_table_integers());
-}
-
-TEST(AsyncManager, ShardedServerAsyncMatchesInline) {
-  ShardedServerSpec spec;
-  spec.mix = small_mix_spec(6, 5);
-  spec.num_shards = 2;
-  spec.num_workers = 1;
-  spec.cycles = 8;
-
-  ShardedServerSpec async_spec = spec;
-  async_spec.async_manager = true;
-
-  const ServingSummary inline_summary = ShardedServer(spec).serve();
-  const ServingSummary async_summary = ShardedServer(async_spec).serve();
-  ASSERT_EQ(inline_summary.shards.size(), async_summary.shards.size());
-  for (std::size_t s = 0; s < inline_summary.shards.size(); ++s) {
-    expect_summaries_identical(inline_summary.shards[s].summary,
-                               async_summary.shards[s].summary);
-    EXPECT_EQ(inline_summary.shards[s].members,
-              async_summary.shards[s].members);
-  }
-}
-
 // --- Admission --------------------------------------------------------------
 
 TEST(Admission, DecisionsIdenticalAcrossWorkerCounts) {
@@ -477,6 +424,31 @@ TEST(Arrivals, InvalidScriptsThrow) {
       ArrivalSchedule({ArrivalEvent{4, 9, true}}, /*pool_tasks=*/4,
                       /*initial_tasks=*/2),
       contract_error);
+}
+
+TEST(ShardedServer, ZeroSizedSpecsThrowContractError) {
+  ShardedServerSpec base;
+  base.mix = small_mix_spec(4, 3);
+  base.num_shards = 2;
+  base.cycles = 4;
+  const auto rejected = [&base](void (*edit)(ShardedServerSpec&)) {
+    ShardedServerSpec spec = base;
+    edit(spec);
+    EXPECT_THROW(ShardedServer{spec}, contract_error);
+  };
+  rejected([](ShardedServerSpec& s) { s.num_shards = 0; });
+  rejected([](ShardedServerSpec& s) { s.cycles = 0; });
+  rejected([](ShardedServerSpec& s) { s.mix.num_tasks = 0; });
+  rejected([](ShardedServerSpec& s) { s.mix.budget_factor = 0.0; });
+  rejected([](ShardedServerSpec& s) { s.mix.budget_factor = -1.0; });
+  rejected([](ShardedServerSpec& s) {
+    s.mix.budget_factor = std::numeric_limits<double>::infinity();
+  });
+  rejected([](ShardedServerSpec& s) {
+    s.mix.budget_factor = std::numeric_limits<double>::quiet_NaN();
+  });
+  // The base spec itself is accepted.
+  EXPECT_NO_THROW(ShardedServer{base});
 }
 
 TEST(Arrivals, ServerRunsJoinLeaveScenarioDeterministically) {

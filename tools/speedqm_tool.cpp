@@ -8,10 +8,14 @@
 //   run      — execute the controlled software against compiled tables,
 //              printing the section-4.2 style summary and optional CSVs
 //   inspect  — print header information of compiled artifacts
+//   multitask, serve — multi-task and sharded serving (see usage())
+//
+// Each subcommand accepts only its own flags (commands() below); any other
+// flag is a usage error (exit 64).
 //
 // Example session (the paper's experiment end to end):
 //   speedqm_tool gen --out mpeg.traces
-//   speedqm_tool compile --traces mpeg.traces --out mpeg
+//   speedqm_tool compile --out mpeg
 //   speedqm_tool run --traces mpeg.traces --tables mpeg --manager relaxation
 //   speedqm_tool inspect --tables mpeg
 #include <algorithm>
@@ -40,6 +44,7 @@
 #include "sim/metrics.hpp"
 #include "sim/realtime.hpp"
 #include "sim/trace.hpp"
+#include "support/contract.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenarios.hpp"
@@ -561,10 +566,17 @@ int cmd_multitask(const ArgMap& args) {
   return exit_code(run_verdict(summary));
 }
 
+/// Default initial pool share when a script (--arrivals, --workload) adds
+/// tasks mid-run: hold back ~1/4 of the pool so the joins have tasks to add.
+std::size_t scripted_initial_tasks(std::size_t pool_tasks) {
+  if (pool_tasks == 0) throw contract_error("serve: --tasks must be >= 1");
+  return pool_tasks - std::min(pool_tasks / 4 + 1, pool_tasks - 1);
+}
+
 // Sharded multi-clock serving: the task pool partitioned across S shards
 // (each with its own platform clock, batched engine and streaming
 // executor) under admission control, with optional mid-run task
-// arrivals/leaves and async manager invocation off the action threads.
+// arrivals/leaves.
 int cmd_serve(const ArgMap& args) {
   ShardedServerSpec spec;
   spec.mix.num_tasks =
@@ -577,7 +589,6 @@ int cmd_serve(const ArgMap& args) {
   spec.num_workers =
       static_cast<std::size_t>(parse_uint(args, "workers", 0));
   spec.cycles = static_cast<std::size_t>(parse_uint(args, "cycles", 64));
-  spec.async_manager = args.count("async") > 0;
   const std::string arena =
       parse_choice(args, "arena", "flat", {"flat", "compressed"}, "serve");
   spec.layout = arena == "compressed" ? ArenaLayout::kCompressed
@@ -622,14 +633,11 @@ int cmd_serve(const ArgMap& args) {
   }
   ArrivalSchedule schedule;
   if (workload_name != "none") {
-    // Same pool geometry defaults as --arrivals: hold back ~1/4 of the
-    // pool so generated joins have tasks to add.
     WorkloadSpec wspec;
     wspec.seed = spec.mix.seed ^ 0x5e;
     wspec.cycles = spec.cycles;
     wspec.pool_tasks = spec.mix.num_tasks;
-    wspec.initial_tasks = spec.mix.num_tasks - std::min(
-        spec.mix.num_tasks / 4 + 1, spec.mix.num_tasks - 1);
+    wspec.initial_tasks = scripted_initial_tasks(spec.mix.num_tasks);
     if (args.count("initial") > 0) {
       wspec.initial_tasks =
           static_cast<std::size_t>(parse_uint(args, "initial", 0));
@@ -686,9 +694,7 @@ int cmd_serve(const ArgMap& args) {
                 static_cast<unsigned long long>(wspec.seed));
     std::printf("arrival script : %s\n", schedule.describe().c_str());
   } else if (arrivals > 0) {
-    // Hold back ~1/4 of the pool so the arrival wave has tasks to add.
-    spec.initial_tasks = spec.mix.num_tasks - std::min(
-        spec.mix.num_tasks / 4 + 1, spec.mix.num_tasks - 1);
+    spec.initial_tasks = scripted_initial_tasks(spec.mix.num_tasks);
     spec.initial_tasks = static_cast<std::size_t>(
         parse_uint(args, "initial", spec.initial_tasks));
     schedule = make_arrival_schedule(spec.mix.num_tasks, spec.initial_tasks,
@@ -745,10 +751,9 @@ int cmd_serve(const ArgMap& args) {
 
   ShardedServer server(spec, std::move(schedule));
   std::printf("pool           : %zu tasks, shard budget %s x %zu shards, "
-              "%s manager, %zu cycles\n",
+              "%zu cycles\n",
               server.pool().size(), format_time(server.shard_budget()).c_str(),
-              server.num_shards(), spec.async_manager ? "async" : "inline",
-              spec.cycles);
+              server.num_shards(), spec.cycles);
   const ServingSummary summary = server.serve();
   std::printf("%s", summary.render().c_str());
 
@@ -810,7 +815,7 @@ void usage() {
       "           [--workload mix|trace-replay] [--workload-spec K=V,...]\n"
       "           [--clock sim|wall|virtual] [real-time flags]\n"
       "  serve    [--tasks N] [--shards S] [--workers W] [--cycles N]\n"
-      "           [--arrivals N] [--initial K] [--async] [--seed N] [--factor F]\n"
+      "           [--arrivals N] [--initial K] [--seed N] [--factor F]\n"
       "           [--placement best-fit|most-slack] [--arena flat|compressed]\n"
       "           [--kernel auto|scalar|vector] [--perturb NAME]\n"
       "           [--workload poisson|bursty|diurnal|checkpoint]\n"
@@ -834,7 +839,9 @@ void usage() {
       "\n"
       "exit codes: 0 = clean, 1 = deadline misses, 2 = degraded (the overload\n"
       "governor intervened: forced downgrades over whole cycles or task\n"
-      "shedding); usage and runtime errors exit >= 64 (sysexits style)\n"
+      "shedding); usage and runtime errors exit >= 64 (sysexits style): an\n"
+      "unknown flag, a malformed value or a zero --tasks/--shards/--cycles/\n"
+      "--factor exits 64\n"
       "\n"
       "--perturb NAME applies a seeded fault scenario from the catalogue:\n"
       "  none|calm|spike|jitter|stall|overhead-storm|flaky-shard|disconnect|"
@@ -861,6 +868,41 @@ void usage() {
       "does not (see docs/scenarios.md for the schema)\n");
 }
 
+struct Command {
+  const char* name;
+  int (*run)(const ArgMap&);
+  /// Every flag the subcommand reads; main() rejects any other.
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& commands() {
+  // realtime_from's flags, shared by multitask and serve.
+  const std::vector<std::string> realtime = {
+      "clock", "wall-scale", "governor", "governor-degrade",
+      "governor-shed", "governor-readmit", "governor-hysteresis",
+      "governor-check", "watchdog-retries"};
+  const auto with_realtime = [&realtime](std::vector<std::string> flags) {
+    flags.insert(flags.end(), realtime.begin(), realtime.end());
+    return flags;
+  };
+  static const std::vector<Command> kCommands = {
+      {"gen", cmd_gen, {"out", "seed"}},
+      {"compile", cmd_compile, {"out", "seed", "manager"}},
+      {"run", cmd_run, {"tables", "traces", "seed", "manager", "csv"}},
+      {"multitask", cmd_multitask,
+       with_realtime({"tasks", "cycles", "seed", "factor", "manager",
+                      "stream", "arena", "kernel", "perturb", "workload",
+                      "workload-spec"})},
+      {"serve", cmd_serve,
+       with_realtime({"tasks", "shards", "workers", "cycles", "arrivals",
+                      "initial", "seed", "factor", "placement", "arena",
+                      "kernel", "perturb", "workload", "workload-spec",
+                      "frontend", "slo-out", "slo-target"})},
+      {"inspect", cmd_inspect, {"tables"}},
+  };
+  return kCommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -868,19 +910,34 @@ int main(int argc, char** argv) {
     usage();
     return 64;
   }
-  const std::string cmd = argv[1];
+  const std::string name = argv[1];
+  const std::vector<Command>& table = commands();
+  const auto command =
+      std::find_if(table.begin(), table.end(),
+                   [&name](const Command& c) { return name == c.name; });
+  if (command == table.end()) {
+    usage();
+    return 64;
+  }
   const ArgMap args = parse_args(argc, argv, 2);
+  for (const auto& entry : args) {
+    if (std::find(command->flags.begin(), command->flags.end(),
+                  entry.first) == command->flags.end()) {
+      std::fprintf(stderr, "error: unknown flag --%s for %s (run "
+                           "speedqm_tool without arguments for usage)\n",
+                   entry.first.c_str(), command->name);
+      return 64;
+    }
+  }
   try {
-    if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "compile") return cmd_compile(args);
-    if (cmd == "run") return cmd_run(args);
-    if (cmd == "multitask") return cmd_multitask(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "inspect") return cmd_inspect(args);
+    return command->run(args);
+  } catch (const contract_error& e) {
+    // A rejected spec (zero shards, tasks or cycles, a non-positive
+    // budget factor) is a usage error, like a malformed flag value.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 64;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 65;
   }
-  usage();
-  return 64;
 }

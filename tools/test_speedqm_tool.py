@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""CLI checks for speedqm_tool's numeric flags (registered with ctest).
+"""CLI checks for speedqm_tool's flags (registered with ctest).
 
     python3 tools/test_speedqm_tool.py [path/to/speedqm_tool]
 
 The binary defaults to build/speedqm_tool. Every numeric flag value of
 serve and multitask must be an unsigned decimal in range: a sign, trailing
 characters or an out-of-range value is a usage error (exit 64), never a
-wrapped, truncated or defaulted run. Each case runs under a timeout, so a
-regression to the old wrap-around (--tasks -1 serving 2^64 - 1 tasks)
-fails instead of hanging.
+wrapped, truncated or defaulted run. A zero pool, shard count, horizon or
+budget factor is rejected the same way, and so is any flag the subcommand
+does not take. Each case runs under a timeout, so a regression to the old
+wrap-around (--tasks -1 serving 2^64 - 1 tasks) fails instead of hanging.
 """
 import os
 import subprocess
@@ -59,6 +60,35 @@ class NumericFlags(unittest.TestCase):
                 "--factor", "1.2")
         self.assertIn(r.returncode, (0, 1, 2), r.stdout + r.stderr)
         self.assertIn("steps/s", r.stdout)
+
+
+class RejectedRequests(unittest.TestCase):
+    def assert_rejected(self, *args):
+        r = run(*args)
+        self.assertEqual(r.returncode, USAGE, r.stdout + r.stderr)
+        self.assertIn("error:", r.stderr)
+        self.assertNotIn("steps/s", r.stdout)
+        return r
+
+    def test_zero_sizes_are_usage_errors(self):
+        # flag -> the spec field the library check names
+        for flag, field in (("shards", "num_shards"), ("tasks", "num_tasks"),
+                            ("cycles", "cycles"),
+                            ("factor", "budget_factor")):
+            with self.subTest(flag=flag):
+                r = self.assert_rejected("serve", "--" + flag, "0")
+                self.assertIn(field, r.stderr)
+        # Scripted churn sizes its initial share from the pool before the
+        # server is built; an empty pool must not reach that arithmetic.
+        r = self.assert_rejected("serve", "--tasks", "0", "--arrivals", "4")
+        self.assertIn("--tasks", r.stderr)
+
+    def test_unknown_flags_are_named_and_rejected(self):
+        for args in (("serve", "--async"), ("serve", "--bogus"),
+                     ("multitask", "--bogus")):
+            with self.subTest(args=args):
+                r = self.assert_rejected(*args)
+                self.assertIn(args[1], r.stderr)
 
 
 if __name__ == "__main__":
