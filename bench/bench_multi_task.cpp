@@ -30,8 +30,8 @@
 // vector kernel when this build/machine carries one — and batched ops must
 // equal sequential-tabled ops exactly and stay flat as T grows.
 //
-// Part 2: the SIMD gate. decide_all's vector kernel (AVX2/AVX512/NEON
-// under SPEEDQM_SIMD, runtime-dispatched) must beat the one-lane
+// Part 2: the SIMD gate. decide_all's vector kernel (AVX-512/AVX2 under
+// SPEEDQM_SIMD, runtime-dispatched) must beat the one-lane
 // compare/select scalar template — the branch-light fallback dataflow the
 // vector kernels instantiate — >= 2x per composite decision at T >= 8
 // (floor overridable via SPEEDQM_SIMD_MIN_SPEEDUP, strictly validated;
@@ -57,7 +57,7 @@
 // jumping between a low and a high quality every epoch, so EVERY lane's
 // warm hint is >= 2 levels off and every epoch pays the full
 // climb/fall search — pins the vectorized lock-step search
-// (sweep_detail::search_lanes): the forced-vector kernel must beat the
+// (sweep_detail::search_lanes): the vector kernel must beat the
 // one-lane template >= 2x (SPEEDQM_CLIMB_MIN_SPEEDUP override, strictly
 // validated; SHAPE-SKIP without a vector kernel), with the same 0.90x
 // sanity floor against the branchy scalar and bit-identity (ops
@@ -466,17 +466,15 @@ bool run_simd_gate() {
     BatchDecisionEngine branchy(engines, BatchDecisionEngine::Mode::kTabled,
                                 ArenaLayout::kFlat,
                                 BatchDecisionEngine::Kernel::kScalar);
-    // The gated engines pin Kernel::kVector so the floors measure the
-    // kernel itself, not the occupancy heuristic — under kAuto a sampled
-    // sweep could demote to scalar mid-timing and the "vector" column
-    // would silently time the fallback. (kVector degrades to scalar when
+    // The gated engines run Kernel::kAuto, the widest vector kernel the
+    // CPU executes, for every timed sweep. (kAuto degrades to scalar when
     // no vector ISA is usable; those cells SHAPE-SKIP below.)
     BatchDecisionEngine simd(engines, BatchDecisionEngine::Mode::kTabled,
                              ArenaLayout::kFlat,
-                             BatchDecisionEngine::Kernel::kVector);
+                             BatchDecisionEngine::Kernel::kAuto);
     BatchDecisionEngine simd_comp(engines, BatchDecisionEngine::Mode::kTabled,
                                   ArenaLayout::kCompressed,
-                                  BatchDecisionEngine::Kernel::kVector);
+                                  BatchDecisionEngine::Kernel::kAuto);
 
     const std::size_t T = stream.num_tasks;
     TemplateKernel tmpl(engine, T);
@@ -701,14 +699,14 @@ bool run_climb_gate(std::vector<DecisionBenchRecord>& records) {
     BatchDecisionEngine branchy(engines, BatchDecisionEngine::Mode::kTabled,
                                 ArenaLayout::kFlat,
                                 BatchDecisionEngine::Kernel::kScalar);
-    // Pinned vector kernels (see the steady gate): the floor measures the
-    // lock-step search itself, not the occupancy heuristic.
+    // Vector kernels (see the steady gate): the floor measures the
+    // lock-step search itself.
     BatchDecisionEngine vec(engines, BatchDecisionEngine::Mode::kTabled,
                             ArenaLayout::kFlat,
-                            BatchDecisionEngine::Kernel::kVector);
+                            BatchDecisionEngine::Kernel::kAuto);
     BatchDecisionEngine vec_comp(engines, BatchDecisionEngine::Mode::kTabled,
                                  ArenaLayout::kCompressed,
-                                 BatchDecisionEngine::Kernel::kVector);
+                                 BatchDecisionEngine::Kernel::kAuto);
     BatchDecisionEngine scal_comp(engines, BatchDecisionEngine::Mode::kTabled,
                                   ArenaLayout::kCompressed,
                                   BatchDecisionEngine::Kernel::kScalar);

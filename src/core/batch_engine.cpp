@@ -1,90 +1,69 @@
 #include "core/batch_engine.hpp"
 
+#include <type_traits>
+
 #include "core/batch_sweep.hpp"
 #include "core/fast_manager.hpp"
 #include "core/numeric_manager.hpp"
 #include "support/contract.hpp"
 
-// The NEON backend lives here rather than in its own translation unit:
-// NEON is part of the aarch64 baseline ISA, so no special compile flags
-// are needed and no runtime CPU check beyond compile-time detection.
-#if defined(SPEEDQM_SIMD) && defined(__aarch64__) && defined(__ARM_NEON)
-#define SPEEDQM_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace speedqm {
-
-namespace {
 
 using sweep_detail::CompressedArena;
 using sweep_detail::FlatArena;
-using sweep_detail::ScalarBackend;
 using sweep_detail::SweepArgs;
 
-#if SPEEDQM_SIMD_NEON
+/// decide_all's dispatch targets, one function per (arena, kernel): each
+/// binds the engine's SoA cursors and arena to one sweep kernel. pick()
+/// runs once at construction, so a sweep costs one indirect call.
+struct BatchDecisionEngine::Sweeps {
+  template <class Arena>
+  using KernelFn = std::uint64_t (*)(const Arena&, const SweepArgs&);
 
-struct NeonBackend {
-  static constexpr int kLanes = 2;
-  using Vec = int64x2_t;
-  using Mask = uint64x2_t;
-
-  static Vec load(const std::int64_t* p) { return vld1q_s64(p); }
-  static void store(std::int64_t* p, Vec v) { vst1q_s64(p, v); }
-  static Vec splat(std::int64_t x) { return vdupq_n_s64(x); }
-  static Vec sub(Vec a, Vec b) { return vsubq_s64(a, b); }
-  static Vec add(Vec a, Vec b) { return vaddq_s64(a, b); }
-  static Vec shr1(Vec a) {  // logical >> 1 (operands are non-negative)
-    return vreinterpretq_s64_u64(vshrq_n_u64(vreinterpretq_u64_s64(a), 1));
+  template <class Arena, KernelFn<Arena> kKernel>
+  static std::uint64_t tabled(BatchDecisionEngine& e, const StateIndex* states,
+                              TimeNs t, Decision* out) {
+    const SweepArgs args{e.n_.data(), e.hint_.data(), e.engines_.size(),
+                         e.nq_ - 1,   states,         t, out};
+    if constexpr (std::is_same_v<Arena, CompressedArena>) {
+      return kKernel(CompressedArena{e.ctable_.data()}, args);
+    } else {
+      return kKernel(
+          FlatArena{e.table_.data(), static_cast<std::size_t>(e.nq_)}, args);
+    }
   }
-  static Mask cmpge(Vec a, Vec b) { return vcgeq_s64(a, b); }
-  static Mask cmpgt(Vec a, Vec b) { return vcgtq_s64(a, b); }
-  static Mask cmpeq(Vec a, Vec b) { return vceqq_s64(a, b); }
-  static Mask m_and(Mask a, Mask b) { return vandq_u64(a, b); }
-  static Mask m_andnot(Mask a, Mask b) { return vbicq_u64(b, a); }  // b & ~a
-  static Mask m_or(Mask a, Mask b) { return vorrq_u64(a, b); }
-  static Vec select(Mask m, Vec a, Vec b) { return vbslq_s64(m, a, b); }
-  static std::uint32_t bits(Mask m) {
-    return static_cast<std::uint32_t>(vgetq_lane_u64(m, 0) & 1) |
-           (static_cast<std::uint32_t>(vgetq_lane_u64(m, 1) & 1) << 1);
+
+  static std::uint64_t incremental(BatchDecisionEngine& e,
+                                   const StateIndex* states, TimeNs t,
+                                   Decision* out) {
+    return e.decide_all_incremental(states, t, out);
+  }
+
+  /// The widest kernel the build and the running CPU offer for one arena
+  /// layout (the x86 kernels are picked by what the CPU executes, so one
+  /// SPEEDQM_SIMD build serves every x86-64 machine), or the scalar sweep
+  /// when `vector` is off or no vector kernel is usable.
+  template <class Arena, KernelFn<Arena> kAvx512, KernelFn<Arena> kAvx2>
+  static SweepFn widest(bool vector, bool* simd) {
+    *simd = vector;
+    if (vector && sweep_detail::avx512_usable()) return &tabled<Arena, kAvx512>;
+    if (vector && sweep_detail::avx2_usable()) return &tabled<Arena, kAvx2>;
+    *simd = false;
+    return &tabled<Arena, &sweep_detail::sweep_scalar<Arena>>;
+  }
+
+  static SweepFn pick(const BatchDecisionEngine& e, bool* simd) {
+    *simd = false;
+    if (e.mode_ != Mode::kTabled) return &incremental;  // no arena to vectorize
+    const bool vector = e.kernel_choice_ == Kernel::kAuto;
+    if (e.layout_ == ArenaLayout::kCompressed) {
+      return widest<CompressedArena, &sweep_detail::sweep_compressed_avx512,
+                    &sweep_detail::sweep_compressed_avx2>(vector, simd);
+    }
+    return widest<FlatArena, &sweep_detail::sweep_flat_avx512,
+                  &sweep_detail::sweep_flat_avx2>(vector, simd);
   }
 };
-
-#endif  // SPEEDQM_SIMD_NEON
-
-/// Best usable vector kernel for one engine instance (0 none, 1 AVX2,
-/// 2 AVX512, 3 NEON). The x86 kernels are picked by what the running CPU
-/// executes, so one SPEEDQM_SIMD build serves every x86-64 machine. Both
-/// arena layouts vectorize: the compressed layout block-decodes probes in
-/// registers (see the per-ISA decode_window helpers), so it no longer
-/// forces the scalar kernel.
-int pick_vector_kernel(BatchDecisionEngine::Kernel kernel,
-                       BatchDecisionEngine::Mode mode) {
-  if (kernel == BatchDecisionEngine::Kernel::kScalar ||
-      mode != BatchDecisionEngine::Mode::kTabled) {
-    return 0;  // incremental mode has no arena to vectorize over
-  }
-#if SPEEDQM_SIMD_NEON
-  return 3;
-#else
-  if (sweep_detail::avx512_usable()) return 2;
-  if (sweep_detail::avx2_usable()) return 1;
-  return 0;
-#endif
-}
-
-/// Task lanes one vector group of the given kernel holds — the occupancy
-/// the adaptive dispatch needs before vector groups stop running ragged.
-std::uint64_t kernel_lanes(int kernel_id) {
-  switch (kernel_id) {
-    case 2: return 8;  // AVX512
-    case 1: return 4;  // AVX2
-    case 3: return 2;  // NEON
-    default: return 1;
-  }
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // BatchDecisionEngine.
@@ -96,9 +75,8 @@ BatchDecisionEngine::BatchDecisionEngine(
     : engines_(std::move(engines)),
       mode_(mode),
       layout_(layout),
-      kernel_choice_(kernel),
-      vec_kernel_(pick_vector_kernel(kernel, mode)),
-      active_kernel_(vec_kernel_) {
+      kernel_choice_(kernel) {
+  sweep_ = Sweeps::pick(*this, &simd_);
   SPEEDQM_REQUIRE(!engines_.empty(), "BatchDecisionEngine: need at least one task");
   for (const auto* e : engines_) {
     SPEEDQM_REQUIRE(e != nullptr, "BatchDecisionEngine: null engine");
@@ -186,93 +164,6 @@ std::uint64_t BatchDecisionEngine::decide_all_incremental(
     total += d.ops;
   }
   return total;
-}
-
-std::uint64_t BatchDecisionEngine::decide_all(const StateIndex* states,
-                                              TimeNs t, Decision* out) {
-  if (mode_ == Mode::kIncremental) {
-    return decide_all_incremental(states, t, out);
-  }
-  SweepArgs args{n_.data(), hint_.data(), engines_.size(),
-                 nq_ - 1,   states,       t,
-                 out,       nullptr};
-  // Occupancy-adaptive dispatch (kAuto with a usable vector kernel): one
-  // sweep in 16 records SweepStats, and the following sweeps run whichever
-  // kernel the sample justifies — vector only when enough warm live lanes
-  // fill a group (live >= kLanes, at least half the live lanes warm);
-  // otherwise the branchy scalar kernel's early exits win (drained mixes,
-  // reset-heavy streams). Sampling is opt-in per sweep so the unsampled
-  // hot path never touches the counters. sweep_seq_ survives reset() on
-  // purpose: a reset makes every lane cold for exactly one sweep, and
-  // pinning samples to that sweep would lock cyclic workloads to scalar.
-  SweepStats sample;
-  const bool sampling = kernel_choice_ == Kernel::kAuto && vec_kernel_ != 0 &&
-                        (sweep_seq_++ & 0xF) == 0;
-  if (sampling) args.stats = &sample;
-  const int kid = active_kernel_;
-  std::uint64_t ops;
-  if (layout_ == ArenaLayout::kCompressed) {
-    const CompressedArena arena{ctable_.data()};
-    switch (kid) {
-      case 2:
-        ops = sweep_detail::sweep_compressed_avx512(arena, args);
-        break;
-      case 1:
-        ops = sweep_detail::sweep_compressed_avx2(arena, args);
-        break;
-#if SPEEDQM_SIMD_NEON
-      case 3:
-        ops = args.stats
-                  ? sweep_detail::sweep_staged<CompressedArena, NeonBackend,
-                                               true>(arena, args)
-                  : sweep_detail::sweep_staged<CompressedArena, NeonBackend>(
-                        arena, args);
-        break;
-#endif
-      default:
-        ops = args.stats
-                  ? sweep_detail::sweep_staged<CompressedArena, ScalarBackend,
-                                               true>(arena, args)
-                  : sweep_detail::sweep_staged<CompressedArena, ScalarBackend>(
-                        arena, args);
-        break;
-    }
-  } else {
-    const FlatArena arena{table_.data(), static_cast<std::size_t>(nq_)};
-    switch (kid) {
-      case 2:
-        ops = sweep_detail::sweep_flat_avx512(arena, args);
-        break;
-      case 1:
-        ops = sweep_detail::sweep_flat_avx2(arena, args);
-        break;
-#if SPEEDQM_SIMD_NEON
-      case 3:
-        ops = args.stats
-                  ? sweep_detail::sweep_staged<FlatArena, NeonBackend, true>(
-                        arena, args)
-                  : sweep_detail::sweep_staged<FlatArena, NeonBackend>(arena,
-                                                                       args);
-        break;
-#endif
-      default:
-        ops = args.stats
-                  ? sweep_detail::sweep_staged<FlatArena, ScalarBackend, true>(
-                        arena, args)
-                  : sweep_detail::sweep_staged<FlatArena, ScalarBackend>(arena,
-                                                                         args);
-        break;
-    }
-  }
-  if (sampling) {
-    stats_ = sample;
-    const std::uint64_t lanes = kernel_lanes(vec_kernel_);
-    active_kernel_ =
-        (sample.live >= lanes && sample.warm * 2 >= sample.live)
-            ? vec_kernel_
-            : 0;
-  }
-  return ops;
 }
 
 Decision BatchDecisionEngine::decide_one(std::size_t task, StateIndex s,

@@ -31,20 +31,18 @@
 //   * ArenaLayout::kCompressed stores the arena in the delta-coded layout
 //     of core/td_compressed.hpp (~2.2-2.4x less memory); probes decode
 //     exactly, so decisions and ops are unchanged.
-//   * Kernel::kAuto vectorizes the whole sweep across task lanes
-//     (AVX2/AVX512/NEON when built with SPEEDQM_SIMD; see batch_engine.cpp
-//     and batch_sweep.hpp): the warm-neighbourhood resolve as vector
-//     compares + selects over lane groups, beyond-neighbourhood outcomes
-//     through a lock-step masked binary search, and compressed-arena
-//     probes block-decoded in registers. The scalar path is the SAME
-//     resolve template instantiated with one-lane operations, and the
-//     vector search replays decide_max_quality's probe schedule exactly,
-//     which is what keeps decisions — including Decision.ops —
-//     bit-identical across scalar/SIMD and flat/compressed combinations.
-//     kAuto additionally adapts PER SWEEP: one sweep in 16 records
-//     occupancy/outcome counters (SweepStats), and groups only stay on
-//     the vector kernel while enough warm live lanes fill them —
-//     otherwise the branchy scalar kernel wins and is picked.
+//   * Kernel::kAuto vectorizes the whole sweep across task lanes with the
+//     widest kernel the build and the running CPU offer (AVX-512, then
+//     AVX2, when built with SPEEDQM_SIMD on x86-64; see batch_sweep.hpp):
+//     the warm-neighbourhood resolve as vector compares + selects over
+//     lane groups, beyond-neighbourhood outcomes through a lock-step
+//     masked binary search, and compressed-arena probes block-decoded in
+//     registers. Groups with too few warm live lanes drop to the scalar
+//     per-task resolve inside the kernel. The scalar path is the SAME
+//     resolve case analysis, and the vector search replays
+//     decide_max_quality's probe schedule exactly, which is what keeps
+//     decisions — including Decision.ops — bit-identical across
+//     scalar/SIMD and flat/compressed combinations.
 //
 // On top of the engine, MultiTaskEpochManager adapts batched decisions to
 // the cyclic executor over a ComposedSystem: at a composite action whose
@@ -65,7 +63,6 @@
 #include "core/manager.hpp"
 #include "core/multi_task.hpp"
 #include "core/policy.hpp"
-#include "core/sweep_stats.hpp"
 #include "core/td_compressed.hpp"
 #include "core/td_incremental.hpp"
 #include "core/types.hpp"
@@ -83,12 +80,9 @@ class BatchDecisionEngine {
   /// Which decide_all sweep kernel to run (tabled mode; decisions are
   /// bit-identical either way — see file comment).
   enum class Kernel {
-    kAuto,    ///< occupancy-adaptive: per-sweep pick between scalar and the
-              ///< best vector kernel the build + CPU offer (see decide_all)
-    kScalar,  ///< force the one-lane instantiation (the differential baseline)
-    kVector,  ///< force the vector kernel (scalar when none is usable);
-              ///< what benches pin so gates measure the kernel, not the
-              ///< adaptive heuristic
+    kAuto,    ///< the widest vector kernel the build + CPU offer (scalar
+              ///< when none is usable)
+    kScalar,  ///< the scalar sweep (the differential baseline)
   };
 
   /// Binds to one PolicyEngine per task. All tasks must share the quality
@@ -114,24 +108,19 @@ class BatchDecisionEngine {
   Mode mode() const { return mode_; }
   ArenaLayout layout() const { return layout_; }
   Kernel kernel() const { return kernel_choice_; }
-  /// True when decide_all CAN run a vector kernel in this instance: the
+  /// True when decide_all runs a vector kernel in this instance: the
   /// build options and the running CPU offer one and the kernel choice
-  /// does not force scalar. Under Kernel::kAuto individual sweeps may
-  /// still run scalar when occupancy is low — see vector_engaged().
-  bool simd_active() const { return vec_kernel_ != 0; }
-  /// True when the NEXT sweep will run the vector kernel (under kAuto
-  /// this follows the last sampled occupancy; fixed otherwise).
-  bool vector_engaged() const { return active_kernel_ != 0; }
-  /// Occupancy/outcome counters of the last sampled sweep (kAuto only;
-  /// zeros before the first sample).
-  const SweepStats& sweep_stats() const { return stats_; }
+  /// does not force scalar.
+  bool simd_active() const { return simd_; }
   StateIndex num_states(std::size_t task) const { return n_[task]; }
 
   /// One composite decision point: for every task τ with states[τ] <
   /// num_states(τ), writes Γ_τ(states[τ], t) to out[τ] and advances τ's
   /// warm hint; finished tasks are skipped (out untouched, no ops).
   /// Returns the summed Decision.ops of the pass.
-  std::uint64_t decide_all(const StateIndex* states, TimeNs t, Decision* out);
+  std::uint64_t decide_all(const StateIndex* states, TimeNs t, Decision* out) {
+    return sweep_(*this, states, t, out);
+  }
 
   /// The sequential reference path: the same decision (and ops) decide_all
   /// would produce for this task, through the same warm-hint cursor.
@@ -154,19 +143,19 @@ class BatchDecisionEngine {
   std::uint64_t decide_all_incremental(const StateIndex* states, TimeNs t,
                                        Decision* out);
 
+  /// The sweep adapters decide_all dispatches through (batch_engine.cpp).
+  struct Sweeps;
+  using SweepFn = std::uint64_t (*)(BatchDecisionEngine&, const StateIndex*,
+                                    TimeNs, Decision*);
+
   std::vector<const PolicyEngine*> engines_;
   Mode mode_;
   ArenaLayout layout_ = ArenaLayout::kFlat;
   Kernel kernel_choice_ = Kernel::kAuto;
-  /// Best usable vector kernel: 0 none, 1 AVX2, 2 AVX512, 3 NEON —
-  /// resolved at construction from the build options and the running CPU
-  /// (0 when kernel_choice_ forces scalar or the mode stores no tables).
-  int vec_kernel_ = 0;
-  /// Kernel the next sweep runs: vec_kernel_ or 0. Fixed for
-  /// kScalar/kVector; re-picked from sampled occupancy under kAuto.
-  int active_kernel_ = 0;
-  std::uint64_t sweep_seq_ = 0;  ///< sweeps since construction (never reset)
-  SweepStats stats_;             ///< last sampled sweep's counters
+  /// decide_all's sweep, resolved once at construction from the mode, the
+  /// arena layout, the kernel choice and what the running CPU executes.
+  SweepFn sweep_ = nullptr;
+  bool simd_ = false;  ///< sweep_ is a vector kernel
   int nq_ = 0;
 
   // Task-major SoA cursors (the decide_all hot state).

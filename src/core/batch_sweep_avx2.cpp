@@ -1,14 +1,12 @@
-// AVX2 kernels of the batched decide_all sweep (see core/batch_sweep.hpp).
-// This translation unit is the only one compiled with -mavx2; the engine
-// calls these kernels only after avx2_usable() confirmed the running CPU
-// executes them, so SPEEDQM_SIMD=ON binaries stay portable across x86-64.
+// AVX2 op table of the batched decide_all sweep (see core/batch_sweep.hpp
+// for the group sweep itself): four task lanes per group, predicate masks
+// as all-ones/all-zeros 64-bit lanes. This translation unit is the only one
+// compiled with -mavx2; the engine calls these kernels only after
+// avx2_usable() confirmed the running CPU executes them, so SPEEDQM_SIMD=ON
+// binaries stay portable across x86-64.
 #include "core/batch_sweep.hpp"
 
 #if defined(SPEEDQM_SIMD) && defined(__AVX2__)
-
-#include <immintrin.h>
-
-#include <cstddef>
 
 namespace speedqm {
 namespace sweep_detail {
@@ -26,396 +24,128 @@ struct Avx2Backend {
   static void store(std::int64_t* p, Vec v) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
+  static Vec load_i32(const std::int32_t* p) {
+    return _mm256_cvtepi32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  static Vec from_scalars(const std::uint64_t* m) {
+    return _mm256_set_epi64x(
+        static_cast<std::int64_t>(m[3]), static_cast<std::int64_t>(m[2]),
+        static_cast<std::int64_t>(m[1]), static_cast<std::int64_t>(m[0]));
+  }
   static Vec splat(std::int64_t x) { return _mm256_set1_epi64x(x); }
   static Vec sub(Vec a, Vec b) { return _mm256_sub_epi64(a, b); }
   static Vec add(Vec a, Vec b) { return _mm256_add_epi64(a, b); }
   static Vec shr1(Vec a) { return _mm256_srli_epi64(a, 1); }
+  static Vec srlv(Vec a, Vec n) { return _mm256_srlv_epi64(a, n); }
   static Mask cmpge(Vec a, Vec b) {  // a >= b  <=>  !(b > a)
     return _mm256_xor_si256(_mm256_cmpgt_epi64(b, a), _mm256_set1_epi64x(-1));
   }
   static Mask cmpgt(Vec a, Vec b) { return _mm256_cmpgt_epi64(a, b); }
   static Mask cmpeq(Vec a, Vec b) { return _mm256_cmpeq_epi64(a, b); }
+  static Mask bit0(Vec a) {
+    const __m256i one = _mm256_set1_epi64x(1);
+    return _mm256_cmpeq_epi64(_mm256_and_si256(a, one), one);
+  }
   static Mask m_and(Mask a, Mask b) { return _mm256_and_si256(a, b); }
   static Mask m_andnot(Mask a, Mask b) { return _mm256_andnot_si256(a, b); }
   static Mask m_or(Mask a, Mask b) { return _mm256_or_si256(a, b); }
   static Vec select(Mask m, Vec a, Vec b) { return _mm256_blendv_epi8(b, a, m); }
+  static Vec maskz(Mask m, Vec a) { return _mm256_and_si256(m, a); }
+  static Mask from_bits(std::uint32_t m) {
+    const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
+    return _mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_set1_epi64x(m), lane_bit), lane_bit);
+  }
   static std::uint32_t bits(Mask m) {
     return static_cast<std::uint32_t>(
         _mm256_movemask_pd(_mm256_castsi256_pd(m)));
   }
 };
 
-/// Decodes the compressed row's [q0, q0+3] window into one 64-bit lane
-/// vector WITHOUT leaving registers: leader deltas load straight from the
-/// block plane (widened from u32 when narrow), residuals load as one
-/// 128-bit chunk and unpack per block width with a byte shuffle. Exactly
-/// RowRef::value's wrapping arithmetic, four entries at a time. The plane
-/// guard pads (td_compressed.cpp) keep every load in-allocation for
-/// q0 = -1 and for windows running past the row's last entry; out-of-row
-/// lanes decode garbage the resolve masks discard.
-__m256i decode_window(const CompressedTdTable::RowRef& r, Quality q0) {
-  __m256i ld;
-  if (r.wide()) {
-    ld = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r.ld64() + q0));
-  } else {
-    ld = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(r.ld32() + q0)));
-  }
-  __m256i v = _mm256_sub_epi64(_mm256_set1_epi64x(r.anchor()), ld);
-  const std::uint8_t* re = r.resid();
-  if (re != nullptr) {
-    const int w = r.width();
-    if (w == CompressedTdTable::kWidth64) {
-      // Signed raw-bits fallback: wrapping epi64 add reconstructs exactly.
-      v = _mm256_add_epi64(
-          v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                 re + static_cast<std::ptrdiff_t>(q0) * 8)));
-    } else {
-      const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-          re + static_cast<std::ptrdiff_t>(q0) * w));
-      __m128i u32;
-      if (w == CompressedTdTable::kWidth16) {
-        u32 = _mm_shuffle_epi8(raw, _mm_setr_epi8(0, 1, -1, -1, 2, 3, -1, -1,
-                                                  4, 5, -1, -1, 6, 7, -1, -1));
-      } else if (w == CompressedTdTable::kWidth24) {
-        u32 = _mm_shuffle_epi8(raw, _mm_setr_epi8(0, 1, 2, -1, 3, 4, 5, -1,
-                                                  6, 7, 8, -1, 9, 10, 11, -1));
-      } else {  // kWidth32
-        u32 = raw;
-      }
-      v = _mm256_add_epi64(v, _mm256_cvtepu32_epi64(u32));
-    }
-  }
-  return v;
-}
-
-/// Per-lane neighbourhood window [row[h-1], row[h], row[h+1], row[h+2]].
-/// Flat arena: one unaligned 256-bit load — the engine pads the arena so
-/// every window, including cold hints at the first row and finished tasks
-/// one row past their table, stays inside the allocation.
-inline __m256i load_window(const FlatArena& arena, const SweepArgs& a,
-                           std::size_t j) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-      arena.tables[j] + a.states[j] * arena.nq + a.hints[j] - 1));
-}
-
-/// Compressed arena: block-decode in registers. Finished lanes (s = n has
-/// no row) and cold lanes (h = -1) clamp to a real row/window — they are
-/// never in the `simple` mask, so the decoded garbage is discarded.
-inline __m256i load_window(const CompressedArena& arena, const SweepArgs& a,
-                           std::size_t j) {
-  const StateIndex s = a.states[j] < a.sizes[j] ? a.states[j] : 0;
-  const Quality h = a.hints[j] >= 0 ? a.hints[j] : 0;
-  return decode_window(arena.tables[j].row(s), h - 1);
-}
-
-struct GroupSearch {
-  __m256i q;     ///< resolved quality per pending lane
-  __m256i ops;   ///< Decision.ops per pending lane
-  __m256i feas;  ///< lane mask, clear: pending lane infeasible (q = qmin)
-};
-
-/// Vector-NATIVE fallback search over flat rows — search_lanes' pinned
-/// probe schedule run entirely in registers. Each pending lane's whole
-/// row is compared against t up front (straight-line independent loads
-/// the core overlaps freely — no gathers), yielding one satisfiability
-/// bitmask per lane (bit q = sat(row[q])); the binary search then
-/// replays decide_max_quality's exact midpoint ladder as mask arithmetic
-/// — a variable shift plus a test per probe round instead of a dependent
-/// memory round trip, which is what makes the lock-step search beat four
-/// overlapped scalar searches. Flat arena only (a compressed probe is a
-/// decode, not a load) and nq <= 64 only (one bit per level; the caller
-/// falls back to search_lanes beyond that). Probe outcomes, chosen
-/// qualities and op counts match decide_max_quality probe for probe (the
-/// ops ladder is part of the Decision contract); reading row entries the
-/// scalar search would not probe has no semantic effect.
-inline GroupSearch search_group_flat(const FlatArena& arena,
-                                     const SweepArgs& a, std::size_t task,
-                                     __m256i h, __m256i pending,
-                                     __m256i climb,
-                                     const ResolveConsts<Avx2Backend>& c) {
+struct Avx2 {
   using B = Avx2Backend;
-  // Per-lane sat masks over the full row; the tail falls back to scalar
-  // probes so the last row of a table cannot read past the padding. The
-  // masks are assembled in GPRs and inserted register-to-register
-  // (_mm256_set_epi64x) — a scalar-store/vector-load round trip here
-  // would stall store-forwarding right on the search's critical path.
-  std::uint64_t mk[4];
-  const int nq = static_cast<int>(arena.nq);
-  const std::uint32_t pbits = B::bits(pending);
-  for (int i = 0; i < 4; ++i) {
-    std::uint64_t m = 0;
-    if (pbits & (1u << i)) {
-      const TimeNs* row =
-          arena.tables[task + i] + a.states[task + i] * arena.nq;
-      int q0 = 0;
-      for (; q0 + 4 <= nq; q0 += 4) {
-        m |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                 _mm256_movemask_pd(_mm256_castsi256_pd(B::cmpge(
-                     _mm256_loadu_si256(
-                         reinterpret_cast<const __m256i*>(row + q0)),
-                     c.vt)))))
-             << q0;
-      }
-      for (; q0 < nq; ++q0) {
-        m |= static_cast<std::uint64_t>(row[q0] >= a.t ? 1 : 0) << q0;
-      }
-    }
-    mk[i] = m;
-  }
-  const __m256i vmask = _mm256_set_epi64x(
-      static_cast<std::int64_t>(mk[3]), static_cast<std::int64_t>(mk[2]),
-      static_cast<std::int64_t>(mk[1]), static_cast<std::int64_t>(mk[0]));
-  const __m256i down = _mm256_andnot_si256(climb, pending);
-  // Falling with h - 1 == qmin: both probes already paid — infeasible.
-  const __m256i h1 = _mm256_and_si256(down, B::cmpeq(h, c.vone));
-  const __m256i pm = _mm256_andnot_si256(h1, down);
-  // The remaining falling lanes probe qmin up front (the scalar search's
-  // third probe): bit 0 of the sat mask.
-  const __m256i sat0 = _mm256_and_si256(
-      pm, B::cmpeq(_mm256_and_si256(vmask, c.vone), c.vone));
-  // search_lanes' prologue: climb -> [h+1, qmax] at 2 ops; falling with
-  // sat(qmin) -> [qmin, h-2] at 3 ops; everything else keeps lo = hi = 0
-  // (never enters the loop, q = qmin) and is infeasible.
-  __m256i vlo = _mm256_and_si256(climb, _mm256_add_epi64(h, c.vone));
-  __m256i vhi = B::select(climb, c.vqmax,
-                          _mm256_and_si256(sat0, _mm256_sub_epi64(h, c.vtwo)));
-  __m256i vops = B::select(_mm256_or_si256(climb, h1), c.vtwo,
-                           _mm256_add_epi64(c.vone, c.vtwo));
-  // Fixed trip count: every lane's range is at most nq - 1 wide, so
-  // ceil(log2(nq - 1)) rounds finish every lane (a done lane's masked
-  // updates are no-ops). A counted loop predicts perfectly — a
-  // data-dependent exit test would eat one mispredict per search.
-  const int rounds =
-      nq <= 2 ? 1 : 32 - __builtin_clz(static_cast<unsigned>(nq - 2));
-  for (int r = 0; r < rounds; ++r) {
-    const __m256i act = _mm256_and_si256(pending, B::cmpgt(vhi, vlo));
-    // mid = lo + (hi - lo + 1) / 2 = (lo + hi + 1) / 2 (exact for the
-    // non-negative bounds here), decide_max_quality's midpoint; the
-    // probe is bit mid of the lane's sat mask.
-    const __m256i vmid = _mm256_srli_epi64(
-        _mm256_add_epi64(_mm256_add_epi64(vlo, vhi), c.vone), 1);
-    const __m256i satbit =
-        _mm256_and_si256(_mm256_srlv_epi64(vmask, vmid), c.vone);
-    const __m256i sat = _mm256_and_si256(act, B::cmpeq(satbit, c.vone));
-    vlo = B::select(sat, vmid, vlo);
-    vhi = B::select(_mm256_andnot_si256(sat, act),
-                    _mm256_sub_epi64(vmid, c.vone), vhi);
-    vops = B::select(act, _mm256_add_epi64(vops, c.vone), vops);
-  }
-  return {vlo, vops, _mm256_or_si256(climb, sat0)};
-}
+  /// Groups with a single warm live lane go lane by lane.
+  static constexpr int kSparseLanes = 1;
 
-/// The AVX2 fast path over either arena: groups of four consecutive tasks
-/// decided in vector registers — cursor loads, per-lane neighbourhood
-/// window loads (flat: one 256-bit load; compressed: in-register block
-/// decode) transposed in-register, the resolve_lanes dataflow, and the
-/// lock-step fallback search for climbing/falling lanes (flat: gathered
-/// probes via search_group_flat; compressed: scalar-decode probes via
-/// search_lanes) — with the branchy per-lane handler for cold lanes,
-/// low-occupancy groups and ragged tails. Decisions are bit-identical to
-/// the scalar kernel because the resolve case analysis is the same and
-/// the fallback replicates the shared search probe for probe. kStats
-/// mirrors decide_task's compile-time stats switch: unsampled sweeps
-/// carry no counter code.
-template <class Arena, bool kStats>
-std::uint64_t sweep_avx2(const Arena& arena, const SweepArgs& a) {
-  using B = Avx2Backend;
-  std::uint64_t total = 0;
-  const ResolveConsts<B> consts(a.t, a.qmax);
-  // The interleaved Decision stores below assume the field layout.
-  static_assert(sizeof(Decision) == 24, "Decision layout changed");
-  static_assert(offsetof(Decision, quality) == 0 &&
-                    offsetof(Decision, relax_steps) == 4 &&
-                    offsetof(Decision, ops) == 8 &&
-                    offsetof(Decision, feasible) == 16,
-                "Decision layout changed");
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  const __m256i vrelax = _mm256_set1_epi64x(std::int64_t{1} << 32);
-  __m256i vops_acc = _mm256_setzero_si256();
-  alignas(32) std::int64_t qbuf[4], obuf[4], hbuf[4], sq[4], so[4];
-
-  std::size_t task = 0;
-  for (; task + 4 <= a.num_tasks; task += 4) {
-    const __m256i s = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(a.states + task));
-    const __m256i n = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(a.sizes + task));
-    const __m256i h = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.hints + task)));
-    const __m256i active = _mm256_cmpgt_epi64(n, s);
-    if (B::bits(active) == 0) continue;  // whole group finished: no work
-    const __m256i warm = _mm256_cmpgt_epi64(h, ones);  // h > -1
-    const __m256i simple = _mm256_and_si256(active, warm);
-    const std::uint32_t simple_bits = B::bits(simple);
-    if (__builtin_popcount(simple_bits) <= 1) {
-      // Low occupancy (drain tail, cold lanes): the branchy per-lane
-      // handler beats paying the vector group cost for one live lane.
-      // Whole group finished or cold: the shared scalar handler (a
-      // finished lane costs one compare there; cold lanes run the full
-      // cold search exactly once per cycle).
-      for (std::size_t j = task; j < task + 4; ++j) {
-        total += decide_task<Arena, kStats>(arena, a, j);
-      }
-      continue;
-    }
-    if constexpr (kStats) {  // sampled sweep: simple lanes are live && warm
-      a.stats->live += static_cast<std::uint64_t>(
-          __builtin_popcount(simple_bits));
-      a.stats->warm += static_cast<std::uint64_t>(
-          __builtin_popcount(simple_bits));
-    }
-    // Each lane's three probes are CONTIGUOUS — row[h-1], row[h], row[h+1]
-    // — so one whole-window load per lane replaces three 64-bit gathers
-    // (slow on many cores), and a 4x4 in-register transpose turns the
-    // four windows into the vdn/vh/vup lane vectors.
-    const __m256i w0 = load_window(arena, a, task + 0);
-    const __m256i w1 = load_window(arena, a, task + 1);
-    const __m256i w2 = load_window(arena, a, task + 2);
-    const __m256i w3 = load_window(arena, a, task + 3);
+  /// 4x4 in-register transpose of the four windows.
+  template <class Load>
+  static void transpose(Load load, __m256i& vdn, __m256i& vh, __m256i& vup) {
+    const __m256i w0 = load(0);
+    const __m256i w1 = load(1);
+    const __m256i w2 = load(2);
+    const __m256i w3 = load(3);
     const __m256i lo01 = _mm256_unpacklo_epi64(w0, w1);  // [A-1 B-1 A+1 B+1]
     const __m256i hi01 = _mm256_unpackhi_epi64(w0, w1);  // [A0  B0  A+2 B+2]
     const __m256i lo23 = _mm256_unpacklo_epi64(w2, w3);
     const __m256i hi23 = _mm256_unpackhi_epi64(w2, w3);
-    const __m256i vdn = _mm256_permute2x128_si256(lo01, lo23, 0x20);
-    const __m256i vh = _mm256_permute2x128_si256(hi01, hi23, 0x20);
-    const __m256i vup = _mm256_permute2x128_si256(lo01, lo23, 0x31);
-    const ResolveOut<B> r = resolve_lanes<B>(vh, vup, vdn, h, consts);
-    const __m256i fallm = _mm256_andnot_si256(r.decided, simple);
-    const std::uint32_t fall = B::bits(fallm);
-    const std::uint32_t inf = B::bits(r.inf);
-    if constexpr (kStats) {
-      a.stats->searched +=
-          static_cast<std::uint64_t>(__builtin_popcount(fall));
-    }
-    // Full vector writeback: pack the 64-bit qualities to 32-bit for the
-    // warm hints, one store; the four 24-byte Decisions ({quality,
-    // relax_steps = 1}, ops, {feasible, zeroed padding}) are interleaved
-    // in registers and written with three vector stores.
-    const auto store_group = [&](__m256i q, __m256i ops, __m256i infm) {
-      const __m256i q32 = _mm256_permutevar8x32_epi32(
-          q, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(a.hints + task),
-                       _mm256_castsi256_si128(q32));
-      const __m256i w0 = _mm256_or_si256(q, vrelax);  // quality | relax<<32
-      const __m256i w1 = ops;
-      const __m256i w2 = _mm256_andnot_si256(infm, consts.vone);  // feasible
-      auto* base = reinterpret_cast<char*>(a.out + task);
-      const __m256i ymm_a = _mm256_blend_epi32(
-          _mm256_blend_epi32(_mm256_permute4x64_epi64(w0, 0x40),
-                             _mm256_permute4x64_epi64(w1, 0x00), 0x0C),
-          _mm256_permute4x64_epi64(w2, 0x00), 0x30);
-      const __m256i ymm_b = _mm256_blend_epi32(
-          _mm256_blend_epi32(_mm256_permute4x64_epi64(w1, 0x81),
-                             _mm256_permute4x64_epi64(w2, 0x04), 0x0C),
-          _mm256_permute4x64_epi64(w0, 0x20), 0x30);
-      const __m256i ymm_c = _mm256_blend_epi32(
-          _mm256_blend_epi32(_mm256_permute4x64_epi64(w2, 0xC2),
-                             _mm256_permute4x64_epi64(w0, 0x0C), 0x0C),
-          _mm256_permute4x64_epi64(w1, 0x30), 0x30);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(base), ymm_a);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(base + 32), ymm_b);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(base + 64), ymm_c);
-      vops_acc = _mm256_add_epi64(vops_acc, ops);
-    };
-    if (simple_bits == 0xFu) {
-      if (fall == 0) {  // common steady state: all four lanes resolved
-        store_group(r.q, r.ops, r.inf);
-        continue;
-      }
-      if constexpr (std::is_same_v<Arena, FlatArena>) {
-        if (arena.nq <= 64) {
-          // Climbing/falling lanes: the register-only lock-step search,
-          // its results blended over the resolved lanes, and the same
-          // full vector writeback.
-          const __m256i climbm = _mm256_and_si256(r.climb, fallm);
-          const GroupSearch g =
-              search_group_flat(arena, a, task, h, fallm, climbm, consts);
-          const __m256i q = B::select(fallm, g.q, r.q);
-          const __m256i ops = B::select(fallm, g.ops, r.ops);
-          const __m256i infm =
-              _mm256_or_si256(_mm256_andnot_si256(fallm, r.inf),
-                              _mm256_andnot_si256(g.feas, fallm));
-          store_group(q, ops, infm);
-          continue;
-        }
-      }
-    }
-    B::store(qbuf, r.q);
-    B::store(obuf, r.ops);
-    B::store(hbuf, h);
-    std::uint32_t sfeas = 0;
-    if (fall != 0) {
-      // Climbing/falling lanes: one lock-step masked search for the whole
-      // group instead of one branchy scalar search per lane.
-      bool searched = false;
-      if constexpr (std::is_same_v<Arena, FlatArena>) {
-        if (arena.nq <= 64) {
-          const __m256i climbm = _mm256_and_si256(r.climb, fallm);
-          const GroupSearch g =
-              search_group_flat(arena, a, task, h, fallm, climbm, consts);
-          B::store(sq, g.q);
-          B::store(so, g.ops);
-          sfeas = B::bits(g.feas);
-          searched = true;
-        }
-      }
-      if (!searched) {
-        typename Arena::Row rows[4] = {};
-        for (int i = 0; i < 4; ++i) {
-          if (fall & (1u << i)) {
-            rows[i] = arena.row(task + i, a.states[task + i]);
-          }
-        }
-        const std::uint32_t climb = B::bits(r.climb) & fall;
-        search_lanes<Arena, B>(rows, hbuf, fall, climb, a.qmax, a.t, sq, so,
-                               &sfeas);
-      }
-    }
-    for (int i = 0; i < 4; ++i) {
-      if (!(simple_bits & (1u << i))) {
-        // Finished (skipped inside) or cold lane: shared scalar handler,
-        // so the engine state stays bit-identical to the scalar kernel.
-        total += decide_task<Arena, kStats>(arena, a, task + i);
-        continue;
-      }
-      Decision d;
-      if (fall & (1u << i)) {
-        d.quality = static_cast<Quality>(sq[i]);
-        d.ops = static_cast<std::uint64_t>(so[i]);
-        d.feasible = (sfeas & (1u << i)) != 0;
-      } else {
-        d.quality = static_cast<Quality>(qbuf[i]);
-        d.ops = static_cast<std::uint64_t>(obuf[i]);
-        d.feasible = (inf & (1u << i)) == 0;
-      }
-      a.hints[task + i] = d.quality;
-      a.out[task + i] = d;
-      total += d.ops;
-    }
+    vdn = _mm256_permute2x128_si256(lo01, lo23, 0x20);
+    vh = _mm256_permute2x128_si256(hi01, hi23, 0x20);
+    vup = _mm256_permute2x128_si256(lo01, lo23, 0x31);
   }
-  for (; task < a.num_tasks; ++task) {
-    total += decide_task<Arena, kStats>(arena, a, task);
+
+  /// Chunked compares; the tail falls back to scalar probes so the last
+  /// row of a table cannot read past the padding.
+  static std::uint64_t row_satmask(const TimeNs* row, int nq, TimeNs t,
+                                   const ResolveConsts<B>& c) {
+    std::uint64_t m = 0;
+    int q0 = 0;
+    for (; q0 + 4 <= nq; q0 += 4) {
+      m |= static_cast<std::uint64_t>(B::bits(B::cmpge(
+               _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + q0)),
+               c.vt)))
+           << q0;
+    }
+    for (; q0 < nq; ++q0) {
+      m |= static_cast<std::uint64_t>(row[q0] >= t ? 1 : 0) << q0;
+    }
+    return m;
   }
-  alignas(32) std::int64_t acc[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(acc), vops_acc);
-  return total +
-         static_cast<std::uint64_t>(acc[0] + acc[1] + acc[2] + acc[3]);
-}
+
+  /// The 64-bit qualities packed to 32-bit for the warm hints, one store;
+  /// the four 24-byte Decisions ({quality, relax_steps = 1}, ops,
+  /// {feasible, zeroed padding}) interleaved in registers and written with
+  /// three vector stores.
+  static void store_group(Quality* hints, Decision* out, __m256i q,
+                          __m256i ops, __m256i inf, const ResolveConsts<B>& c) {
+    const __m256i q32 = _mm256_permutevar8x32_epi32(
+        q, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(hints),
+                     _mm256_castsi256_si128(q32));
+    const __m256i w0 =  // quality | relax << 32
+        _mm256_or_si256(q, _mm256_set1_epi64x(std::int64_t{1} << 32));
+    const __m256i w1 = ops;
+    const __m256i w2 = _mm256_andnot_si256(inf, c.vone);  // feasible
+    auto* base = reinterpret_cast<char*>(out);
+    const __m256i ymm_a = _mm256_blend_epi32(
+        _mm256_blend_epi32(_mm256_permute4x64_epi64(w0, 0x40),
+                           _mm256_permute4x64_epi64(w1, 0x00), 0x0C),
+        _mm256_permute4x64_epi64(w2, 0x00), 0x30);
+    const __m256i ymm_b = _mm256_blend_epi32(
+        _mm256_blend_epi32(_mm256_permute4x64_epi64(w1, 0x81),
+                           _mm256_permute4x64_epi64(w2, 0x04), 0x0C),
+        _mm256_permute4x64_epi64(w0, 0x20), 0x30);
+    const __m256i ymm_c = _mm256_blend_epi32(
+        _mm256_blend_epi32(_mm256_permute4x64_epi64(w2, 0xC2),
+                           _mm256_permute4x64_epi64(w0, 0x0C), 0x0C),
+        _mm256_permute4x64_epi64(w1, 0x30), 0x30);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(base), ymm_a);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(base + 32), ymm_b);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(base + 64), ymm_c);
+  }
+};
 
 }  // namespace
 
 bool avx2_usable() { return __builtin_cpu_supports("avx2"); }
 
 std::uint64_t sweep_flat_avx2(const FlatArena& arena, const SweepArgs& a) {
-  return a.stats ? sweep_avx2<FlatArena, true>(arena, a)
-                 : sweep_avx2<FlatArena, false>(arena, a);
+  return sweep_vector<Avx2>(arena, a);
 }
 
 std::uint64_t sweep_compressed_avx2(const CompressedArena& arena,
                                     const SweepArgs& a) {
-  return a.stats ? sweep_avx2<CompressedArena, true>(arena, a)
-                 : sweep_avx2<CompressedArena, false>(arena, a);
+  return sweep_vector<Avx2>(arena, a);
 }
 
 }  // namespace sweep_detail

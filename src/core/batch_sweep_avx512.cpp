@@ -1,13 +1,10 @@
-// AVX512 kernel of the batched decide_all sweep (see core/batch_sweep.hpp):
-// eight task lanes per group, predicate masks in k-registers, and the
-// neighbourhood probes as per-lane window loads. Compiled with -mavx512f
-// in this translation unit only; the engine calls it only after
-// avx512_usable() confirmed the running CPU executes it, so SPEEDQM_SIMD
-// binaries stay portable across x86-64 (AVX2-only machines use the AVX2
-// kernel, everything else the scalar one).
-#include "core/batch_sweep.hpp"
-
-#if defined(SPEEDQM_SIMD) && defined(__AVX512F__)
+// AVX-512 op table of the batched decide_all sweep (see core/batch_sweep.hpp
+// for the group sweep itself): eight task lanes per group, predicate masks
+// in k-registers. Compiled with -mavx512f in this translation unit only;
+// the engine calls these kernels only after avx512_usable() confirmed the
+// running CPU executes them, so SPEEDQM_SIMD binaries stay portable across
+// x86-64 (AVX2-only machines use the AVX2 kernel, everything else the
+// scalar one).
 
 // GCC's avx512fintrin.h trips -W(maybe-)uninitialized on its own
 // _mm512_undefined_epi32 plumbing when inlined under -Wextra; the
@@ -15,9 +12,9 @@
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
 
-#include <immintrin.h>
+#include "core/batch_sweep.hpp"
 
-#include <cstddef>
+#if defined(SPEEDQM_SIMD) && defined(__AVX512F__)
 
 namespace speedqm {
 namespace sweep_detail {
@@ -31,10 +28,22 @@ struct Avx512Backend {
 
   static Vec load(const std::int64_t* p) { return _mm512_loadu_si512(p); }
   static void store(std::int64_t* p, Vec v) { _mm512_storeu_si512(p, v); }
+  static Vec load_i32(const std::int32_t* p) {
+    return _mm512_cvtepi32_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
+  static Vec from_scalars(const std::uint64_t* m) {
+    return _mm512_set_epi64(
+        static_cast<std::int64_t>(m[7]), static_cast<std::int64_t>(m[6]),
+        static_cast<std::int64_t>(m[5]), static_cast<std::int64_t>(m[4]),
+        static_cast<std::int64_t>(m[3]), static_cast<std::int64_t>(m[2]),
+        static_cast<std::int64_t>(m[1]), static_cast<std::int64_t>(m[0]));
+  }
   static Vec splat(std::int64_t x) { return _mm512_set1_epi64(x); }
   static Vec sub(Vec a, Vec b) { return _mm512_sub_epi64(a, b); }
   static Vec add(Vec a, Vec b) { return _mm512_add_epi64(a, b); }
   static Vec shr1(Vec a) { return _mm512_srli_epi64(a, 1); }
+  static Vec srlv(Vec a, Vec n) { return _mm512_srlv_epi64(a, n); }
   static Mask cmpge(Vec a, Vec b) {
     return _mm512_cmp_epi64_mask(a, b, _MM_CMPINT_NLT);
   }
@@ -44,250 +53,37 @@ struct Avx512Backend {
   static Mask cmpeq(Vec a, Vec b) {
     return _mm512_cmp_epi64_mask(a, b, _MM_CMPINT_EQ);
   }
+  static Mask bit0(Vec a) {
+    return _mm512_test_epi64_mask(a, _mm512_set1_epi64(1));
+  }
   static Mask m_and(Mask a, Mask b) { return static_cast<Mask>(a & b); }
   static Mask m_andnot(Mask a, Mask b) { return static_cast<Mask>(~a & b); }
   static Mask m_or(Mask a, Mask b) { return static_cast<Mask>(a | b); }
   static Vec select(Mask m, Vec a, Vec b) {
     return _mm512_mask_blend_epi64(m, b, a);  // m ? a : b
   }
+  static Vec maskz(Mask m, Vec a) { return _mm512_maskz_mov_epi64(m, a); }
+  static Mask from_bits(std::uint32_t m) { return static_cast<Mask>(m); }
   static std::uint32_t bits(Mask m) { return m; }
 };
 
-/// Decodes the compressed row's [q0, q0+3] window into one 256-bit lane
-/// vector without leaving registers — same dataflow as the AVX2 TU's
-/// helper (this TU's -mavx512f implies AVX2): leader deltas straight from
-/// the block plane, residuals as one 128-bit load unpacked per block
-/// width with a byte shuffle. The plane guard pads (td_compressed.cpp)
-/// keep every load in-allocation for q0 = -1 and windows past the row's
-/// last entry; out-of-row lanes decode garbage the resolve masks discard.
-__m256i decode_window(const CompressedTdTable::RowRef& r, Quality q0) {
-  __m256i ld;
-  if (r.wide()) {
-    ld = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r.ld64() + q0));
-  } else {
-    ld = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(r.ld32() + q0)));
-  }
-  __m256i v = _mm256_sub_epi64(_mm256_set1_epi64x(r.anchor()), ld);
-  const std::uint8_t* re = r.resid();
-  if (re != nullptr) {
-    const int w = r.width();
-    if (w == CompressedTdTable::kWidth64) {
-      v = _mm256_add_epi64(
-          v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                 re + static_cast<std::ptrdiff_t>(q0) * 8)));
-    } else {
-      const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-          re + static_cast<std::ptrdiff_t>(q0) * w));
-      __m128i u32;
-      if (w == CompressedTdTable::kWidth16) {
-        u32 = _mm_shuffle_epi8(raw, _mm_setr_epi8(0, 1, -1, -1, 2, 3, -1, -1,
-                                                  4, 5, -1, -1, 6, 7, -1, -1));
-      } else if (w == CompressedTdTable::kWidth24) {
-        u32 = _mm_shuffle_epi8(raw, _mm_setr_epi8(0, 1, 2, -1, 3, 4, 5, -1,
-                                                  6, 7, 8, -1, 9, 10, 11, -1));
-      } else {  // kWidth32
-        u32 = raw;
-      }
-      v = _mm256_add_epi64(v, _mm256_cvtepu32_epi64(u32));
-    }
-  }
-  return v;
-}
-
-/// Per-lane neighbourhood window [row[h-1], row[h], row[h+1], row[h+2]].
-inline __m256i load_window(const FlatArena& arena, const SweepArgs& a,
-                           std::size_t j) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-      arena.tables[j] + a.states[j] * arena.nq + a.hints[j] - 1));
-}
-
-/// Compressed arena: block-decode in registers. Finished lanes (s = n has
-/// no row) and cold lanes (h = -1) clamp to a real row/window — they are
-/// never in the `simple` mask, so the decoded garbage is discarded.
-inline __m256i load_window(const CompressedArena& arena, const SweepArgs& a,
-                           std::size_t j) {
-  const StateIndex s = a.states[j] < a.sizes[j] ? a.states[j] : 0;
-  const Quality h = a.hints[j] >= 0 ? a.hints[j] : 0;
-  return decode_window(arena.tables[j].row(s), h - 1);
-}
-
-struct GroupSearch {
-  __m512i q;      ///< resolved quality per pending lane
-  __m512i ops;    ///< Decision.ops per pending lane
-  __mmask8 feas;  ///< bit i clear: pending lane i infeasible (q = qmin)
-};
-
-/// Vector-NATIVE fallback search over flat rows — search_lanes' pinned
-/// probe schedule run entirely in registers. Each pending lane's whole
-/// row is compared against t up front (straight-line independent loads
-/// the core overlaps freely — no gathers), yielding one satisfiability
-/// bitmask per lane (bit q = sat(row[q])); the binary search then
-/// replays decide_max_quality's exact midpoint ladder as mask arithmetic
-/// — a variable shift plus a test per probe round instead of a dependent
-/// memory round trip, which is what makes the lock-step search beat
-/// eight overlapped scalar searches. Flat arena only (a compressed probe
-/// is a decode, not a load) and nq <= 64 only (one bit per level; the
-/// caller falls back to search_lanes beyond that). Probe outcomes,
-/// chosen qualities and op counts match decide_max_quality probe for
-/// probe (the ops ladder is part of the Decision contract); reading row
-/// entries the scalar search would not probe has no semantic effect.
-inline GroupSearch search_group_flat(const FlatArena& arena,
-                                     const SweepArgs& a, std::size_t task,
-                                     __m512i h, __mmask8 pending,
-                                     __mmask8 climb,
-                                     const ResolveConsts<Avx512Backend>& c) {
-  // Per-lane sat masks over the full row. The tail load is masked so the
-  // last row of a table cannot read past the arena's padding. The eight
-  // masks are assembled in GPRs and inserted register-to-register
-  // (_mm512_set_epi64) — a scalar-store/vector-load round trip here
-  // would stall store-forwarding right on the search's critical path.
-  std::uint64_t mk[8];
-  const int nq = static_cast<int>(arena.nq);
-  const __mmask8 tail_k =
-      static_cast<__mmask8>((1u << (((nq - 1) & 7) + 1)) - 1u);
-  for (int i = 0; i < 8; ++i) {
-    std::uint64_t m = 0;
-    if (pending & (1u << i)) {
-      const TimeNs* row =
-          arena.tables[task + i] + a.states[task + i] * arena.nq;
-      int q0 = 0;
-      for (; q0 + 8 <= nq; q0 += 8) {
-        m |= static_cast<std::uint64_t>(_mm512_cmp_epi64_mask(
-                 _mm512_loadu_si512(row + q0), c.vt, _MM_CMPINT_NLT))
-             << q0;
-      }
-      if (q0 < nq) {
-        m |= static_cast<std::uint64_t>(_mm512_mask_cmp_epi64_mask(
-                 tail_k, _mm512_maskz_loadu_epi64(tail_k, row + q0), c.vt,
-                 _MM_CMPINT_NLT))
-             << q0;
-      }
-    }
-    mk[i] = m;
-  }
-  const __m512i vmask = _mm512_set_epi64(
-      static_cast<std::int64_t>(mk[7]), static_cast<std::int64_t>(mk[6]),
-      static_cast<std::int64_t>(mk[5]), static_cast<std::int64_t>(mk[4]),
-      static_cast<std::int64_t>(mk[3]), static_cast<std::int64_t>(mk[2]),
-      static_cast<std::int64_t>(mk[1]), static_cast<std::int64_t>(mk[0]));
-  const __mmask8 down = static_cast<__mmask8>(pending & ~climb);
-  // Falling with h - 1 == qmin: both probes already paid — infeasible.
-  const __mmask8 h1 =
-      _mm512_mask_cmp_epi64_mask(down, h, c.vone, _MM_CMPINT_EQ);
-  const __mmask8 pm = static_cast<__mmask8>(down & ~h1);
-  // The remaining falling lanes probe qmin up front (the scalar search's
-  // third probe): bit 0 of the sat mask.
-  const __mmask8 sat0 = _mm512_mask_test_epi64_mask(pm, vmask, c.vone);
-  // search_lanes' prologue: climb -> [h+1, qmax] at 2 ops; falling with
-  // sat(qmin) -> [qmin, h-2] at 3 ops; everything else keeps lo = hi = 0
-  // (never enters the loop, q = qmin) and is infeasible.
-  __m512i vlo = _mm512_maskz_add_epi64(climb, h, c.vone);
-  __m512i vhi = _mm512_mask_mov_epi64(_mm512_maskz_sub_epi64(sat0, h, c.vtwo),
-                                      climb, c.vqmax);
-  __m512i vops =
-      _mm512_mask_mov_epi64(_mm512_add_epi64(c.vone, c.vtwo),
-                            static_cast<__mmask8>(climb | h1), c.vtwo);
-  // Fixed trip count: every lane's range is at most nq - 1 wide, so
-  // ceil(log2(nq - 1)) rounds finish every lane (a done lane's masked
-  // updates are no-ops). A counted loop predicts perfectly — a
-  // data-dependent exit test would eat one mispredict per search.
-  const int rounds =
-      nq <= 2 ? 1 : 32 - __builtin_clz(static_cast<unsigned>(nq - 2));
-  for (int r = 0; r < rounds; ++r) {
-    const __mmask8 act =
-        _mm512_mask_cmp_epi64_mask(pending, vhi, vlo, _MM_CMPINT_NLE);
-    // mid = lo + (hi - lo + 1) / 2 = (lo + hi + 1) / 2 (exact for the
-    // non-negative bounds here), decide_max_quality's midpoint; the
-    // probe is bit mid of the lane's sat mask.
-    const __m512i vmid = _mm512_srli_epi64(
-        _mm512_add_epi64(_mm512_add_epi64(vlo, vhi), c.vone), 1);
-    const __mmask8 sat = _mm512_mask_test_epi64_mask(
-        act, _mm512_srlv_epi64(vmask, vmid), c.vone);
-    vlo = _mm512_mask_mov_epi64(vlo, sat, vmid);
-    vhi = _mm512_mask_mov_epi64(vhi, static_cast<__mmask8>(act & ~sat),
-                                _mm512_sub_epi64(vmid, c.vone));
-    vops = _mm512_mask_add_epi64(vops, act, vops, c.vone);
-  }
-  return {vlo, vops, static_cast<__mmask8>(climb | sat0)};
-}
-
-/// The AVX512 fast path over either arena — the AVX2 kernel's structure
-/// at twice the lane width: groups of eight consecutive tasks, cursor
-/// loads, row addressing, window loads (flat: one 256-bit load per lane;
-/// compressed: in-register block decode), the resolve_lanes dataflow and
-/// the lock-step fallback search all in vector registers (flat: gathered
-/// probes via search_group_flat; compressed: scalar-decode probes via
-/// search_lanes), scalar handling only for cold lanes, all-skipped
-/// groups and ragged tails. kStats mirrors decide_task's compile-time
-/// stats switch: unsampled sweeps carry no counter code.
-template <class Arena, bool kStats>
-std::uint64_t sweep_avx512(const Arena& arena, const SweepArgs& a) {
+struct Avx512 {
   using B = Avx512Backend;
-  std::uint64_t total = 0;
-  const ResolveConsts<B> consts(a.t, a.qmax);
-  // The interleaved Decision stores below assume the field layout.
-  static_assert(sizeof(Decision) == 24, "Decision layout changed");
-  static_assert(offsetof(Decision, quality) == 0 &&
-                    offsetof(Decision, relax_steps) == 4 &&
-                    offsetof(Decision, ops) == 8 &&
-                    offsetof(Decision, feasible) == 16,
-                "Decision layout changed");
-  const __m512i vrelax = _mm512_set1_epi64(std::int64_t{1} << 32);
-  const __m512i vmone = _mm512_set1_epi64(-1);
-  __m512i vops_acc = _mm512_setzero_si512();
-  alignas(64) std::int64_t qbuf[8], obuf[8], hbuf[8], sq[8], so[8];
+  /// Groups with 1-2 warm live lanes go lane by lane.
+  static constexpr int kSparseLanes = 2;
 
-  // vpermt2q index pairs turning the three lane-major words per Decision
-  // ({quality|relax}, ops, {feasible}) into the 8 x 24-byte memory
-  // interleave (three 64-byte stores). Lane j < 8 picks source 1, j >= 8
-  // source 2.
-  const __m512i idx_a01 = _mm512_setr_epi64(0, 8, 0, 1, 9, 0, 2, 10);
-  const __m512i idx_a2 = _mm512_setr_epi64(0, 1, 8, 3, 4, 9, 6, 7);
-  const __m512i idx_b01 = _mm512_setr_epi64(0, 3, 11, 0, 4, 12, 0, 5);
-  const __m512i idx_b2 = _mm512_setr_epi64(10, 1, 2, 11, 4, 5, 12, 7);
-  const __m512i idx_c01 = _mm512_setr_epi64(13, 0, 6, 14, 0, 7, 15, 0);
-  const __m512i idx_c2 = _mm512_setr_epi64(0, 13, 2, 3, 14, 5, 6, 15);
-
-  std::size_t task = 0;
-  for (; task + 8 <= a.num_tasks; task += 8) {
-    const __m512i s = _mm512_loadu_si512(a.states + task);
-    const __m512i n = _mm512_loadu_si512(a.sizes + task);
-    const __m512i h = _mm512_cvtepi32_epi64(_mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(a.hints + task)));
-    const __mmask8 active = _mm512_cmp_epi64_mask(n, s, _MM_CMPINT_NLE);
-    if (active == 0) continue;  // whole group finished: no work
-    const __mmask8 warm = _mm512_cmp_epi64_mask(h, vmone, _MM_CMPINT_NLE);
-    const __mmask8 simple = active & warm;
-    if (__builtin_popcount(simple) <= 2) {
-      // Low occupancy (drain tail, cold lanes): the branchy per-lane
-      // handler beats paying the vector group cost for 1-2 live lanes.
-      for (std::size_t j = task; j < task + 8; ++j) {
-        total += decide_task<Arena, kStats>(arena, a, j);
-      }
-      continue;
-    }
-    if constexpr (kStats) {  // sampled sweep: simple lanes are live && warm
-      a.stats->live += static_cast<std::uint64_t>(__builtin_popcount(simple));
-      a.stats->warm += static_cast<std::uint64_t>(__builtin_popcount(simple));
-    }
-    // Each lane's three probes are CONTIGUOUS — row[h-1], row[h], row[h+1]
-    // — so one whole-window load per lane replaces three 64-bit gathers
-    // (slow on many cores); the eight windows are paired into four zmm
-    // registers and transposed into the vdn/vh/vup lane vectors with
-    // two-source permutes.
-    const __m512i z01 = _mm512_inserti64x4(
-        _mm512_castsi256_si512(load_window(arena, a, task + 0)),
-        load_window(arena, a, task + 1), 1);
-    const __m512i z23 = _mm512_inserti64x4(
-        _mm512_castsi256_si512(load_window(arena, a, task + 2)),
-        load_window(arena, a, task + 3), 1);
-    const __m512i z45 = _mm512_inserti64x4(
-        _mm512_castsi256_si512(load_window(arena, a, task + 4)),
-        load_window(arena, a, task + 5), 1);
-    const __m512i z67 = _mm512_inserti64x4(
-        _mm512_castsi256_si512(load_window(arena, a, task + 6)),
-        load_window(arena, a, task + 7), 1);
+  /// The eight windows are paired into four zmm registers and transposed
+  /// into the vdn/vh/vup lane vectors with two-source permutes.
+  template <class Load>
+  static void transpose(Load load, __m512i& vdn, __m512i& vh, __m512i& vup) {
+    const __m512i z01 =
+        _mm512_inserti64x4(_mm512_castsi256_si512(load(0)), load(1), 1);
+    const __m512i z23 =
+        _mm512_inserti64x4(_mm512_castsi256_si512(load(2)), load(3), 1);
+    const __m512i z45 =
+        _mm512_inserti64x4(_mm512_castsi256_si512(load(4)), load(5), 1);
+    const __m512i z67 =
+        _mm512_inserti64x4(_mm512_castsi256_si512(load(6)), load(7), 1);
     // Field f of the window (0 = h-1, 1 = h, 2 = h+1) sits at lane f and
     // 4+f of each pair; gather the four pairs' fields into the low 256
     // bits of two permutes, then splice the halves.
@@ -297,130 +93,75 @@ std::uint64_t sweep_avx512(const Arena& arena, const SweepArgs& a) {
       const __m512i hi = _mm512_permutex2var_epi64(z45, idx, z67);
       return _mm512_shuffle_i64x2(lo, hi, 0x44);
     };
-    const __m512i vdn = field(0);
-    const __m512i vh = field(1);
-    const __m512i vup = field(2);
-    const ResolveOut<B> r = resolve_lanes<B>(vh, vup, vdn, h, consts);
-    const std::uint32_t fall = ~B::bits(r.decided) & simple;
-    const std::uint32_t inf = B::bits(r.inf);
-    if constexpr (kStats) {
-      a.stats->searched +=
-          static_cast<std::uint64_t>(__builtin_popcount(fall));
-    }
-    // Full vector writeback: warm hints packed to 32-bit in one store,
-    // the eight Decisions interleaved in registers, three stores.
-    const auto store_group = [&](__m512i q, __m512i ops, __mmask8 infm) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.hints + task),
-                          _mm512_cvtepi64_epi32(q));
-      const __m512i w0 = _mm512_or_si512(q, vrelax);
-      const __m512i w1 = ops;
-      const __m512i w2 =
-          _mm512_maskz_mov_epi64(static_cast<__mmask8>(~infm), consts.vone);
-      auto* base = reinterpret_cast<char*>(a.out + task);
-      const __m512i zmm_a = _mm512_permutex2var_epi64(
-          _mm512_permutex2var_epi64(w0, idx_a01, w1), idx_a2, w2);
-      const __m512i zmm_b = _mm512_permutex2var_epi64(
-          _mm512_permutex2var_epi64(w0, idx_b01, w1), idx_b2, w2);
-      const __m512i zmm_c = _mm512_permutex2var_epi64(
-          _mm512_permutex2var_epi64(w0, idx_c01, w1), idx_c2, w2);
-      _mm512_storeu_si512(base, zmm_a);
-      _mm512_storeu_si512(base + 64, zmm_b);
-      _mm512_storeu_si512(base + 128, zmm_c);
-      vops_acc = _mm512_add_epi64(vops_acc, ops);
-    };
-    if (simple == 0xFFu) {
-      if (fall == 0) {  // steady state: all eight lanes resolved
-        store_group(r.q, r.ops, r.inf);
-        continue;
-      }
-      if constexpr (std::is_same_v<Arena, FlatArena>) {
-        if (arena.nq <= 64) {
-          // Climbing/falling lanes: the register-only lock-step search,
-          // its results blended over the resolved lanes, and the same
-          // full vector writeback.
-          const __mmask8 fm = static_cast<__mmask8>(fall);
-          const __mmask8 cm = static_cast<__mmask8>(B::bits(r.climb) & fall);
-          const GroupSearch g =
-              search_group_flat(arena, a, task, h, fm, cm, consts);
-          const __m512i q = _mm512_mask_mov_epi64(r.q, fm, g.q);
-          const __m512i ops = _mm512_mask_mov_epi64(r.ops, fm, g.ops);
-          const __mmask8 infm =
-              static_cast<__mmask8>((r.inf & ~fm) | (fm & ~g.feas));
-          store_group(q, ops, infm);
-          continue;
-        }
-      }
-    }
-    B::store(qbuf, r.q);
-    B::store(obuf, r.ops);
-    B::store(hbuf, h);
-    std::uint32_t sfeas = 0;
-    if (fall != 0) {
-      // Climbing/falling lanes: one lock-step masked search for the whole
-      // group instead of one branchy scalar search per lane.
-      bool searched = false;
-      if constexpr (std::is_same_v<Arena, FlatArena>) {
-        if (arena.nq <= 64) {
-          const GroupSearch g = search_group_flat(
-              arena, a, task, h, static_cast<__mmask8>(fall),
-              static_cast<__mmask8>(B::bits(r.climb) & fall), consts);
-          B::store(sq, g.q);
-          B::store(so, g.ops);
-          sfeas = g.feas;
-          searched = true;
-        }
-      }
-      if (!searched) {
-        typename Arena::Row rows[8] = {};
-        for (int i = 0; i < 8; ++i) {
-          if (fall & (1u << i)) {
-            rows[i] = arena.row(task + i, a.states[task + i]);
-          }
-        }
-        const std::uint32_t climb = B::bits(r.climb) & fall;
-        search_lanes<Arena, B>(rows, hbuf, fall, climb, a.qmax, a.t, sq, so,
-                               &sfeas);
-      }
-    }
-    for (int i = 0; i < 8; ++i) {
-      if (!(simple & (1u << i))) {
-        total += decide_task<Arena, kStats>(arena, a, task + i);
-        continue;
-      }
-      Decision d;
-      if (fall & (1u << i)) {
-        d.quality = static_cast<Quality>(sq[i]);
-        d.ops = static_cast<std::uint64_t>(so[i]);
-        d.feasible = (sfeas & (1u << i)) != 0;
-      } else {
-        d.quality = static_cast<Quality>(qbuf[i]);
-        d.ops = static_cast<std::uint64_t>(obuf[i]);
-        d.feasible = (inf & (1u << i)) == 0;
-      }
-      a.hints[task + i] = d.quality;
-      a.out[task + i] = d;
-      total += d.ops;
-    }
+    vdn = field(0);
+    vh = field(1);
+    vup = field(2);
   }
-  for (; task < a.num_tasks; ++task) {
-    total += decide_task<Arena, kStats>(arena, a, task);
+
+  /// Chunked compares; the tail load is masked so the last row of a table
+  /// cannot read past the arena's padding.
+  static std::uint64_t row_satmask(const TimeNs* row, int nq, TimeNs,
+                                   const ResolveConsts<B>& c) {
+    const __mmask8 tail_k =
+        static_cast<__mmask8>((1u << (((nq - 1) & 7) + 1)) - 1u);
+    std::uint64_t m = 0;
+    int q0 = 0;
+    for (; q0 + 8 <= nq; q0 += 8) {
+      m |= static_cast<std::uint64_t>(_mm512_cmp_epi64_mask(
+               _mm512_loadu_si512(row + q0), c.vt, _MM_CMPINT_NLT))
+           << q0;
+    }
+    if (q0 < nq) {
+      m |= static_cast<std::uint64_t>(_mm512_mask_cmp_epi64_mask(
+               tail_k, _mm512_maskz_loadu_epi64(tail_k, row + q0), c.vt,
+               _MM_CMPINT_NLT))
+           << q0;
+    }
+    return m;
   }
-  return total + _mm512_reduce_add_epi64(vops_acc);
-}
+
+  /// Warm hints packed to 32-bit in one store; the three lane-major words
+  /// per Decision ({quality | relax}, ops, {feasible}) turned into the
+  /// 8 x 24-byte memory interleave by vpermt2q pairs, three stores.
+  static void store_group(Quality* hints, Decision* out, __m512i q,
+                          __m512i ops, __mmask8 inf,
+                          const ResolveConsts<B>& c) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hints),
+                        _mm512_cvtepi64_epi32(q));
+    const __m512i w0 = _mm512_or_si512(q, _mm512_set1_epi64(std::int64_t{1} << 32));
+    const __m512i w1 = ops;
+    const __m512i w2 = _mm512_maskz_mov_epi64(static_cast<__mmask8>(~inf), c.vone);
+    // Index pairs: lane j < 8 picks source 1, j >= 8 source 2.
+    const __m512i idx_a01 = _mm512_setr_epi64(0, 8, 0, 1, 9, 0, 2, 10);
+    const __m512i idx_a2 = _mm512_setr_epi64(0, 1, 8, 3, 4, 9, 6, 7);
+    const __m512i idx_b01 = _mm512_setr_epi64(0, 3, 11, 0, 4, 12, 0, 5);
+    const __m512i idx_b2 = _mm512_setr_epi64(10, 1, 2, 11, 4, 5, 12, 7);
+    const __m512i idx_c01 = _mm512_setr_epi64(13, 0, 6, 14, 0, 7, 15, 0);
+    const __m512i idx_c2 = _mm512_setr_epi64(0, 13, 2, 3, 14, 5, 6, 15);
+    auto* base = reinterpret_cast<char*>(out);
+    _mm512_storeu_si512(base, _mm512_permutex2var_epi64(
+                                  _mm512_permutex2var_epi64(w0, idx_a01, w1),
+                                  idx_a2, w2));
+    _mm512_storeu_si512(base + 64, _mm512_permutex2var_epi64(
+                                       _mm512_permutex2var_epi64(w0, idx_b01, w1),
+                                       idx_b2, w2));
+    _mm512_storeu_si512(base + 128, _mm512_permutex2var_epi64(
+                                        _mm512_permutex2var_epi64(w0, idx_c01, w1),
+                                        idx_c2, w2));
+  }
+};
 
 }  // namespace
 
 bool avx512_usable() { return __builtin_cpu_supports("avx512f"); }
 
 std::uint64_t sweep_flat_avx512(const FlatArena& arena, const SweepArgs& a) {
-  return a.stats ? sweep_avx512<FlatArena, true>(arena, a)
-                 : sweep_avx512<FlatArena, false>(arena, a);
+  return sweep_vector<Avx512>(arena, a);
 }
 
 std::uint64_t sweep_compressed_avx512(const CompressedArena& arena,
                                       const SweepArgs& a) {
-  return a.stats ? sweep_avx512<CompressedArena, true>(arena, a)
-                 : sweep_avx512<CompressedArena, false>(arena, a);
+  return sweep_vector<Avx512>(arena, a);
 }
 
 }  // namespace sweep_detail

@@ -52,11 +52,10 @@ std::uint8_t pick_width(std::uint64_t max_resid) {
   return CompressedTdTable::kWidth64;
 }
 
-// Guard pads keeping every whole-window load of the vector decode paths
-// (RowRef::window4 and the per-ISA decode_window helpers) inside the
-// plane allocations. A window starts at q0 = hint - 1, one entry BEFORE
-// the row (front pads: 1 element / one widest residual = 8 bytes), and
-// the deepest trailing load — a 32-byte kWidth64 window at q0 = nq - 2 —
+// Guard pads keeping every whole-window load of the vector sweep's
+// decode_window (core/batch_sweep.hpp) inside the plane allocations. A
+// window starts at q0 = hint - 1, one entry BEFORE the row (front pads:
+// 1 element / one widest residual = 8 bytes), and the deepest trailing load — a 32-byte kWidth64 window at q0 = nq - 2 —
 // runs 16 bytes past the row's last entry (back pads: 2 elements / 16
 // bytes; this also covers RowRef::value's 8-byte read of the last narrow
 // residual). Pads are zero, never decoded into results: the resolve

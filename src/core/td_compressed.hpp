@@ -94,41 +94,11 @@ class CompressedTdTable {
       return static_cast<TimeNs>(v);
     }
 
-    /// Block-decodes the four consecutive entries [q0, q0+3] — the vector
-    /// kernels' neighbourhood window — in one pass over the planes: one
-    /// leader-delta fetch and one shared residual unpack instead of four
-    /// independent value() decodes. q0 may be -1 and q0+3 may run past the
-    /// row's last entry: the arena planes carry front/back guard pads
-    /// sized for exactly these loads, and callers discard the out-of-row
-    /// lanes (the per-ISA decode_window helpers rely on the same pads).
-    void window4(Quality q0, TimeNs out[4]) const {
-      const std::uint64_t base = static_cast<std::uint64_t>(anchor_);
-      std::uint64_t ld[4];
-      if (ld_wide_) {
-        std::memcpy(ld, ld64_ + q0, sizeof ld);
-      } else {
-        std::uint32_t narrow[4];
-        std::memcpy(narrow, ld32_ + q0, sizeof narrow);
-        for (int i = 0; i < 4; ++i) ld[i] = narrow[i];
-      }
-      if (resid_ == nullptr) {
-        for (int i = 0; i < 4; ++i) out[i] = static_cast<TimeNs>(base - ld[i]);
-        return;
-      }
-      const std::uint8_t* re = resid_ + static_cast<std::ptrdiff_t>(q0) * rw_;
-      const std::uint64_t mask =
-          rw_ == kWidth64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << (8 * rw_)) - 1;
-      for (int i = 0; i < 4; ++i) {
-        std::uint64_t raw;
-        std::memcpy(&raw, re + i * rw_, 8);
-        out[i] = static_cast<TimeNs>(base - ld[i] + (raw & mask));
-      }
-    }
-
-    // Raw plane access for the per-ISA vector decoders (the decode_window
-    // helpers in core/batch_sweep_avx2.cpp / _avx512.cpp): the same fields
-    // value() reads, exposed so a whole window decodes in registers.
+    // Raw plane access for the vector sweep's decode_window
+    // (core/batch_sweep.hpp): the same fields value() reads, exposed so a
+    // whole four-entry window decodes in registers. The arena planes carry
+    // front/back guard pads sized for those window loads (q0 = h - 1 may
+    // be -1, and q0 + 3 may run past the row's last entry).
     TimeNs anchor() const { return anchor_; }
     bool wide() const { return ld_wide_; }
     const std::uint32_t* ld32() const { return ld32_; }

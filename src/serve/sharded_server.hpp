@@ -84,9 +84,10 @@ struct ShardedServerSpec {
   /// serves the same decisions from the delta-coded tables — bit-identical
   /// results, ~2.2-2.4x less table memory per shard.
   ArenaLayout layout = ArenaLayout::kFlat;
-  /// Sweep kernel of every shard's engine (tabled mode): kAuto adapts per
-  /// sampled sweep, kScalar/kVector pin a kernel. Decisions are
-  /// bit-identical across kernels (gated); this only moves wall-clock.
+  /// Sweep kernel of every shard's engine (tabled mode): kAuto runs the
+  /// widest vector kernel the CPU offers, kScalar the scalar sweep.
+  /// Decisions are bit-identical across kernels (gated); this only moves
+  /// wall-clock.
   BatchDecisionEngine::Kernel kernel = BatchDecisionEngine::Kernel::kAuto;
   /// Placement policy for join requests: best-fit packs, most-slack
   /// balances (the serving-throughput choice — see serve/admission.hpp).

@@ -7,11 +7,21 @@
 //   * streaming replay (retain_steps = false + RunSummaryAccumulator)
 //     producing the same RunSummary as the retained-steps path;
 //   * epoch protocol details: finished-task skipping, per-cycle reset,
-//     construction contracts.
+//     construction contracts;
+//   * every compiled per-ISA sweep kernel (AVX2, AVX-512) called directly
+//     and matched against the scalar sweep — flat and compressed arenas,
+//     cold/finished lanes, edge hints, ragged tails, |Q| above and below
+//     64, sentinel and non-monotone tables.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <sstream>
+
 #include "core/batch_engine.hpp"
+#include "core/batch_sweep.hpp"
 #include "core/fast_manager.hpp"
+#include "core/region_compiler.hpp"
+#include "support/rng.hpp"
 #include "sim/metrics.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/synthetic.hpp"
@@ -283,11 +293,10 @@ TEST_F(MultiTaskDifferential, StreamingSummaryMatchesRetained) {
   EXPECT_EQ(acc.cycle_quality_series(), per_cycle_quality(retained));
 }
 
-// Kernel pins: the forced-vector and occupancy-adaptive kernels must be
-// bit-identical to the forced-scalar kernel — decisions, ops, platform
-// clock — over 10^4 cycles, for both arena layouts. (On hardware without
-// a vector kernel every pin resolves to scalar and the check is vacuous
-// but still runs.)
+// Kernel pins: the default (widest vector) kernel must be bit-identical
+// to the forced-scalar kernel — decisions, ops, platform clock — over 10^4
+// cycles, for both arena layouts. (On hardware without a vector kernel
+// kAuto resolves to scalar and the check is vacuous but still runs.)
 TEST_F(MultiTaskDifferential, KernelsBitIdenticalOverTenThousandCycles) {
   MultiTaskMix mix(small_mix_spec(4, 20260808));
   const auto engines = mix.engines();
@@ -297,101 +306,26 @@ TEST_F(MultiTaskDifferential, KernelsBitIdenticalOverTenThousandCycles) {
                                    BatchDecisionEngine::Mode::kTabled,
                                    ArenaLayout::kFlat,
                                    BatchDecisionEngine::Kernel::kScalar);
+  // kScalar never runs a vector kernel, whatever the CPU offers.
+  EXPECT_FALSE(scalar_mgr.engine().simd_active());
   QualityStreamSink s_scalar;
   RunResult r_scalar;
   run_pair(mix, scalar_mgr, cycles, s_scalar, r_scalar);
 
   for (const ArenaLayout layout :
        {ArenaLayout::kFlat, ArenaLayout::kCompressed}) {
-    for (const BatchDecisionEngine::Kernel kernel :
-         {BatchDecisionEngine::Kernel::kVector,
-          BatchDecisionEngine::Kernel::kAuto}) {
-      BatchMultiTaskManager mgr(mix.composed(), engines,
-                                BatchDecisionEngine::Mode::kTabled, layout,
-                                kernel);
-      QualityStreamSink sink;
-      RunResult run;
-      run_pair(mix, mgr, cycles, sink, run);
-      EXPECT_EQ(sink.qualities, s_scalar.qualities)
-          << to_string(layout) << " kernel " << static_cast<int>(kernel);
-      EXPECT_EQ(sink.total_ops, s_scalar.total_ops) << to_string(layout);
-      EXPECT_EQ(run.total_time, r_scalar.total_time) << to_string(layout);
-      EXPECT_EQ(run.total_deadline_misses, r_scalar.total_deadline_misses);
-      EXPECT_EQ(run.total_infeasible, r_scalar.total_infeasible);
-    }
+    BatchMultiTaskManager mgr(mix.composed(), engines,
+                              BatchDecisionEngine::Mode::kTabled, layout,
+                              BatchDecisionEngine::Kernel::kAuto);
+    QualityStreamSink sink;
+    RunResult run;
+    run_pair(mix, mgr, cycles, sink, run);
+    EXPECT_EQ(sink.qualities, s_scalar.qualities) << to_string(layout);
+    EXPECT_EQ(sink.total_ops, s_scalar.total_ops) << to_string(layout);
+    EXPECT_EQ(run.total_time, r_scalar.total_time) << to_string(layout);
+    EXPECT_EQ(run.total_deadline_misses, r_scalar.total_deadline_misses);
+    EXPECT_EQ(run.total_infeasible, r_scalar.total_infeasible);
   }
-}
-
-// The occupancy-adaptive dispatch itself: under Kernel::kAuto one sweep in
-// 16 samples live/warm counters, and the engine drops to the branchy
-// scalar kernel when the sample shows too few warm live lanes to fill a
-// vector group, re-engaging once occupancy recovers.
-TEST(BatchDecisionEngineAdaptive, SampledSweepsSwitchKernels) {
-  SyntheticSpec spec;
-  spec.seed = 31;
-  spec.num_actions = 24;
-  spec.num_levels = 8;
-  spec.budget_quality = 4;
-  SyntheticWorkload task(spec);
-  const PolicyEngine engine(task.app(), task.timing());
-  // 16 lanes of the same engine: wider than any kernel's group (8 for
-  // AVX512), so full occupancy always justifies the vector kernel.
-  std::vector<const PolicyEngine*> engines(16, &engine);
-  BatchDecisionEngine batch(engines, BatchDecisionEngine::Mode::kTabled,
-                            ArenaLayout::kFlat,
-                            BatchDecisionEngine::Kernel::kAuto);
-  if (!batch.simd_active()) {
-    GTEST_SKIP() << "no vector kernel on this build/CPU";
-  }
-  EXPECT_TRUE(batch.vector_engaged());  // optimistic until the first sample
-
-  std::vector<StateIndex> states(16, 1);
-  std::vector<Decision> out(16);
-  const TimeNs t = batch.td(0, 1, 3);
-
-  // Sweep 0 is sampled and all-cold (no warm hints yet): live = 16,
-  // warm = 0 — the sample demotes the engine to scalar.
-  batch.decide_all(states.data(), t, out.data());
-  EXPECT_EQ(batch.sweep_stats().live, 16u);
-  EXPECT_EQ(batch.sweep_stats().warm, 0u);
-  EXPECT_FALSE(batch.vector_engaged());
-
-  // Sweeps 1..16 run warm at full occupancy; the sample at sweep 16 sees
-  // 16 warm live lanes and re-engages the vector kernel.
-  for (int i = 0; i < 16; ++i) {
-    batch.decide_all(states.data(), t, out.data());
-  }
-  EXPECT_EQ(batch.sweep_stats().live, 16u);
-  EXPECT_EQ(batch.sweep_stats().warm, 16u);
-  EXPECT_TRUE(batch.vector_engaged());
-
-  // Starve occupancy: every lane finished but one. The next sample
-  // (sweep 32) sees a single live lane — not enough to fill a group —
-  // and drops back to scalar.
-  std::vector<StateIndex> drained(16, task.app().size());
-  drained[0] = 1;
-  for (int i = 0; i < 16; ++i) {
-    batch.decide_all(drained.data(), t, out.data());
-  }
-  EXPECT_EQ(batch.sweep_stats().live, 1u);
-  EXPECT_FALSE(batch.vector_engaged());
-
-  // A forced-kernel engine never adapts: kVector stays engaged on the
-  // same drained stream.
-  BatchDecisionEngine pinned(engines, BatchDecisionEngine::Mode::kTabled,
-                             ArenaLayout::kFlat,
-                             BatchDecisionEngine::Kernel::kVector);
-  for (int i = 0; i < 40; ++i) {
-    pinned.decide_all(drained.data(), t, out.data());
-  }
-  EXPECT_TRUE(pinned.vector_engaged());
-  // And kScalar reports no vector capability at all.
-  BatchDecisionEngine forced_scalar(engines,
-                                    BatchDecisionEngine::Mode::kTabled,
-                                    ArenaLayout::kFlat,
-                                    BatchDecisionEngine::Kernel::kScalar);
-  EXPECT_FALSE(forced_scalar.simd_active());
-  EXPECT_FALSE(forced_scalar.vector_engaged());
 }
 
 // The mix scenario itself: safe under the coexistence margin, and the
@@ -414,6 +348,295 @@ TEST(MultiTaskMixScenario, ServesAllTasksWithoutMisses) {
   EXPECT_GT(manager.epochs(), 0u);
   EXPECT_LT(manager.epochs(), mix.composed().app().size());
 }
+
+// ---------------------------------------------------------------------------
+// Per-ISA kernels, called directly. The engine always runs the widest ISA
+// the CPU offers, so on an AVX-512 host no engine-level test reaches the
+// AVX2 kernel. These tests call every compiled entry point against the
+// scalar sweep over the same tables, hints and times; a case skips only
+// when the build or the CPU lacks its ISA. Under ASan they also check the
+// kernels' whole-window loads against the flat arena's padding and the
+// compressed planes' guard pads.
+
+using sweep_detail::CompressedArena;
+using sweep_detail::FlatArena;
+using sweep_detail::SweepArgs;
+
+struct IsaKernels {
+  const char* name;
+  bool (*usable)();
+  std::uint64_t (*flat)(const FlatArena&, const SweepArgs&);
+  std::uint64_t (*compressed)(const CompressedArena&, const SweepArgs&);
+};
+
+void PrintTo(const IsaKernels& isa, std::ostream* os) { *os << isa.name; }
+
+/// T tasks' tD tables (row-major [state][quality], one shared |Q|) in both
+/// arena layouts: the flat arena padded exactly as BatchDecisionEngine
+/// pads its own, and one CompressedTdTable per task — optionally reloaded
+/// through the v2 stream, whose loader must rebuild the guard pads.
+class KernelTables {
+ public:
+  KernelTables(const std::vector<std::vector<TimeNs>>& tables, int nq,
+               bool reload)
+      : nq_(nq) {
+    std::vector<std::size_t> offset;
+    arena_.assign(2, 0);  // front pad: a cold window starts at h - 1 = -2
+    for (const auto& table : tables) {
+      sizes_.push_back(table.size() / static_cast<std::size_t>(nq));
+      offset.push_back(arena_.size());
+      arena_.insert(arena_.end(), table.begin(), table.end());
+      CompressedTdTable compressed(sizes_.back(), nq, table);
+      if (reload) {
+        std::stringstream stream;
+        RegionCompiler::save_regions_compressed(compressed, stream);
+        compressed = RegionCompiler::load_regions_compressed(stream);
+      }
+      compressed_.push_back(std::move(compressed));
+    }
+    arena_.insert(arena_.end(), static_cast<std::size_t>(nq) + 2, 0);
+    for (const std::size_t o : offset) bases_.push_back(arena_.data() + o);
+    for (const auto& table : tables) {
+      for (const TimeNs v : table) {
+        borders_.push_back(v);
+        if (v > kTimeMinusInf) borders_.push_back(v - 1);
+        if (v < kTimePlusInf) borders_.push_back(v + 1);
+      }
+    }
+  }
+
+  // bases_ points into arena_: a copy would alias the source's buffer.
+  KernelTables(const KernelTables&) = delete;
+  KernelTables& operator=(const KernelTables&) = delete;
+
+  FlatArena flat() const {
+    return FlatArena{bases_.data(), static_cast<std::size_t>(nq_)};
+  }
+  CompressedArena compressed() const {
+    return CompressedArena{compressed_.data()};
+  }
+  const std::vector<StateIndex>& sizes() const { return sizes_; }
+  int nq() const { return nq_; }
+  /// Every stored border, and one past it on each side.
+  const std::vector<TimeNs>& borders() const { return borders_; }
+
+ private:
+  int nq_;
+  std::vector<StateIndex> sizes_;
+  std::vector<TimeNs> arena_;
+  std::vector<const TimeNs*> bases_;
+  std::vector<CompressedTdTable> compressed_;
+  std::vector<TimeNs> borders_;
+};
+
+/// What one differential run exercised, counted from the scalar sweep.
+struct KernelCoverage {
+  int full_groups = 0;  ///< rounds whose every task was live and warm
+  int cold = 0;
+  int finished = 0;
+  int at_bottom = 0;    ///< warm hints at qmin
+  int at_top = 0;       ///< warm hints at qmax
+  int near = 0;         ///< warm lanes resolved within one level
+  int climbs = 0;       ///< warm lanes that rose two or more levels
+  int falls = 0;        ///< warm lanes that fell two or more levels
+};
+
+/// Drives `rounds` sweeps of one ISA kernel and of the scalar sweep over
+/// the same arena from identical hints, and requires identical Decisions
+/// (finished tasks' slots untouched on both sides), op totals and hints
+/// after every sweep. Per round and task: a state (finished with some
+/// probability) and a hint (cold, qmin, qmax, uniform, or the hint the
+/// previous sweep left — the warm steady state); one shared t from the
+/// tables' borders, repeated on some rounds so carried hints stay put.
+template <class Arena>
+KernelCoverage expect_kernel_matches_scalar(
+    std::uint64_t (*kernel)(const Arena&, const SweepArgs&),
+    const Arena& arena, const KernelTables& tables, std::uint64_t seed,
+    int rounds) {
+  const std::size_t T = tables.sizes().size();
+  const Quality qmax = tables.nq() - 1;
+  Xoshiro256 rng(seed);
+  std::vector<StateIndex> states(T);
+  std::vector<Quality> hints_vec(T, -1);
+  std::vector<Quality> hints_sca(T, -1);
+  Decision untouched;
+  untouched.quality = -7;
+  untouched.ops = 999;
+  KernelCoverage cov;
+  TimeNs t = tables.borders().front();
+  for (int round = 0; round < rounds; ++round) {
+    // Round shapes: every 4th all live and warm (full groups), every 5th
+    // mostly finished (low-occupancy groups), the rest mixed.
+    const bool steady = round % 4 == 0;
+    const double p_finished = steady ? 0.0 : (round % 5 == 0 ? 0.8 : 0.1);
+    const double p_cold = steady ? 0.0 : 0.1;
+    for (std::size_t task = 0; task < T; ++task) {
+      const StateIndex n = tables.sizes()[task];
+      states[task] = rng.chance(p_finished)
+                         ? n
+                         : static_cast<StateIndex>(rng.uniform_int(
+                               0, static_cast<std::int64_t>(n) - 1));
+      Quality h = hints_sca[task];
+      if (rng.chance(p_cold)) {
+        h = -1;
+      } else if (h < 0 || rng.chance(0.4)) {
+        const std::int64_t pick = rng.uniform_int(0, 3);
+        h = pick == 0   ? 0
+            : pick == 1 ? qmax
+                        : static_cast<Quality>(rng.uniform_int(0, qmax));
+      }
+      hints_vec[task] = h;
+      hints_sca[task] = h;
+    }
+    if (round % 3 != 0) {
+      t = tables.borders()[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(tables.borders().size()) - 1))];
+    }
+    const std::vector<Quality> before = hints_sca;
+    std::vector<Decision> out_vec(T, untouched);
+    std::vector<Decision> out_sca(T, untouched);
+    const SweepArgs vec_args{tables.sizes().data(), hints_vec.data(), T,
+                             qmax, states.data(), t, out_vec.data()};
+    const SweepArgs sca_args{tables.sizes().data(), hints_sca.data(), T,
+                             qmax, states.data(), t, out_sca.data()};
+    const std::uint64_t ops_vec = kernel(arena, vec_args);
+    const std::uint64_t ops_sca = sweep_detail::sweep_scalar(arena, sca_args);
+    EXPECT_EQ(ops_vec, ops_sca) << "round " << round;
+    EXPECT_EQ(hints_vec, hints_sca) << "round " << round;
+    bool full = true;
+    for (std::size_t task = 0; task < T; ++task) {
+      const Decision& got = out_vec[task];
+      const Decision& want = out_sca[task];
+      EXPECT_EQ(got.quality, want.quality)
+          << "round " << round << " task " << task << " hint "
+          << before[task] << " t " << t;
+      EXPECT_EQ(got.ops, want.ops) << "round " << round << " task " << task;
+      EXPECT_EQ(got.feasible, want.feasible) << "round " << round;
+      EXPECT_EQ(got.relax_steps, want.relax_steps) << "round " << round;
+      const Quality h = before[task];
+      if (states[task] >= tables.sizes()[task]) {
+        ++cov.finished;
+        full = false;
+      } else if (h < 0) {
+        ++cov.cold;
+        full = false;
+      } else {
+        cov.at_bottom += h == 0;
+        cov.at_top += h == qmax;
+        const int step = want.quality - h;
+        cov.climbs += step >= 2;
+        cov.falls += step <= -2;
+        cov.near += step >= -1 && step <= 1;
+      }
+    }
+    cov.full_groups += full;
+    if (::testing::Test::HasFailure()) break;  // first diverging round only
+  }
+  return cov;
+}
+
+/// Every case family must reach the kernel paths it exists for.
+void expect_full_coverage(const KernelCoverage& cov) {
+  EXPECT_GT(cov.full_groups, 0);
+  EXPECT_GT(cov.cold, 0);
+  EXPECT_GT(cov.finished, 0);
+  EXPECT_GT(cov.at_bottom, 0);
+  EXPECT_GT(cov.at_top, 0);
+  EXPECT_GT(cov.near, 0);
+  EXPECT_GT(cov.climbs, 0);
+  EXPECT_GT(cov.falls, 0);
+}
+
+/// T synthetic tD tables at |Q| = nq: realistic monotone borders, task
+/// lengths varied so rows of different tasks interleave.
+std::vector<std::vector<TimeNs>> synthetic_tables(std::size_t T, int nq,
+                                                  std::uint64_t seed) {
+  std::vector<std::vector<TimeNs>> tables;
+  for (std::size_t task = 0; task < T; ++task) {
+    SyntheticSpec spec;
+    spec.seed = seed + task;
+    spec.num_actions = 5 + 3 * task;
+    spec.num_levels = nq;
+    spec.budget_quality = nq / 2;
+    spec.num_cycles = 1;
+    const SyntheticWorkload w(spec);
+    tables.push_back(PolicyEngine(w.app(), w.timing()).td_table());
+  }
+  return tables;
+}
+
+class SweepKernelDifferential : public ::testing::TestWithParam<IsaKernels> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().usable()) {
+      GTEST_SKIP() << GetParam().name << " not compiled in or not executable "
+                   << "on this CPU";
+    }
+  }
+};
+
+TEST_P(SweepKernelDifferential, FlatTablesAcrossQualityAxisWidths) {
+  // |Q| <= 64 runs the register sat-mask search (5: one partial chunk;
+  // 64: the widest mask); |Q| > 64 falls back to search_lanes. T = 13 is
+  // not a multiple of either group width, so every run has a ragged tail.
+  for (const int nq : {5, 16, 64, 72}) {
+    SCOPED_TRACE(nq);
+    const KernelTables tables(synthetic_tables(13, nq, 20261018), nq, false);
+    expect_full_coverage(expect_kernel_matches_scalar(
+        GetParam().flat, tables.flat(), tables, 7000 + nq, 400));
+  }
+}
+
+TEST_P(SweepKernelDifferential, CompressedTablesBuiltAndReloaded) {
+  for (const bool reload : {false, true}) {
+    for (const int nq : {12, 72}) {
+      SCOPED_TRACE(testing::Message() << "nq " << nq << " reload " << reload);
+      const KernelTables tables(synthetic_tables(11, nq, 20260808), nq,
+                                reload);
+      expect_full_coverage(expect_kernel_matches_scalar(
+          GetParam().compressed, tables.compressed(), tables, 9000 + nq,
+          400));
+    }
+  }
+}
+
+TEST_P(SweepKernelDifferential, SentinelAndNonMonotoneTable) {
+  // Hand-built: +inf and -inf borders (the wide leader plane) and a row
+  // that drops below its block leader (kWidth64 residual blocks). At
+  // |Q| = 3 every window runs past the row at both ends, so the out-of-row
+  // lanes read the arena padding and the planes' guard pads.
+  const std::vector<TimeNs> data = {
+      kTimePlusInf, us(900), us(100),     us(500), us(400), us(50),
+      kTimePlusInf, us(800), kTimeMinusInf, us(700), us(600), us(600),
+      us(710),      us(610), us(600),     us(712), us(611), us(601),
+  };
+  const std::vector<std::vector<TimeNs>> tables_data(9, data);
+  for (const bool reload : {false, true}) {
+    SCOPED_TRACE(reload);
+    const KernelTables tables(tables_data, 3, reload);
+    const KernelCoverage flat = expect_kernel_matches_scalar(
+        GetParam().flat, tables.flat(), tables, 31, 400);
+    const KernelCoverage compressed = expect_kernel_matches_scalar(
+        GetParam().compressed, tables.compressed(), tables, 37, 400);
+    EXPECT_GT(flat.full_groups, 0);
+    EXPECT_GT(compressed.full_groups, 0);
+    EXPECT_GT(flat.climbs + flat.falls, 0);
+    EXPECT_GT(compressed.climbs + compressed.falls, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PerIsa, SweepKernelDifferential,
+    ::testing::Values(
+        IsaKernels{"avx2", &sweep_detail::avx2_usable,
+                   &sweep_detail::sweep_flat_avx2,
+                   &sweep_detail::sweep_compressed_avx2},
+        IsaKernels{"avx512", &sweep_detail::avx512_usable,
+                   &sweep_detail::sweep_flat_avx512,
+                   &sweep_detail::sweep_compressed_avx512}),
+    [](const ::testing::TestParamInfo<IsaKernels>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace speedqm

@@ -13,7 +13,7 @@
 // The suite drives search_lanes directly through the one-lane scalar
 // backend (the same straight-line dataflow the vector backends run, per
 // batch_sweep.hpp) over both arena adapters, then pins the engine-level
-// kernels — Kernel::kVector vs kScalar vs per-task TabledNumericManager —
+// kernels — Kernel::kAuto vs kScalar vs per-task TabledNumericManager —
 // on an adversarial climb-heavy probe schedule.
 #include <gtest/gtest.h>
 
@@ -242,7 +242,7 @@ TEST(ClimbSearch, VectorKernelMatchesScalarOnClimbHeavySchedule) {
   for (const ArenaLayout layout :
        {ArenaLayout::kFlat, ArenaLayout::kCompressed}) {
     BatchDecisionEngine vec(engine_ptrs, BatchDecisionEngine::Mode::kTabled,
-                            layout, BatchDecisionEngine::Kernel::kVector);
+                            layout, BatchDecisionEngine::Kernel::kAuto);
     BatchDecisionEngine sca(engine_ptrs, BatchDecisionEngine::Mode::kTabled,
                             layout, BatchDecisionEngine::Kernel::kScalar);
     for (auto& m : tabled) m->reset();

@@ -85,60 +85,6 @@ TEST(CompressedTdTable, ShrinksLargeGridsAtLeastTwofold) {
       << flat_bytes;
 }
 
-TEST(CompressedTdTable, Window4MatchesValueIncludingGuardPadLanes) {
-  // The block decode the staged/vector kernels use: window4(q0) over every
-  // legal window start, including q0 = h-1 = -1 (cold-adjacent) and
-  // windows running past the row end — the out-of-row lanes read the
-  // plane guard pads and are discarded, the in-row lanes must equal
-  // value(q) bit for bit. Exercised both on a freshly built table and on
-  // one rebuilt through the serialized body (whose loader must
-  // reconstruct the pads around the content planes).
-  const SyntheticWorkload w = make_workload(37, 12, 20260808);
-  const PolicyEngine engine(w.app(), w.timing());
-  const CompressedTdTable built(engine);
-  std::stringstream stream;
-  RegionCompiler::save_regions_compressed(built, stream);
-  const CompressedTdTable loaded =
-      RegionCompiler::load_regions_compressed(stream);
-
-  for (const CompressedTdTable* table : {&built, &loaded}) {
-    for (StateIndex s = 0; s < table->num_states(); ++s) {
-      const CompressedTdTable::RowRef row = table->row(s);
-      for (Quality q0 = -1; q0 <= table->qmax() - 2; ++q0) {
-        TimeNs got[4];
-        row.window4(q0, got);
-        for (int lane = 0; lane < 4; ++lane) {
-          const Quality q = q0 + lane;
-          if (q < 0 || q > table->qmax()) continue;  // pad lane: discarded
-          ASSERT_EQ(got[lane], row.value(q))
-              << "s=" << s << " q0=" << q0 << " lane=" << lane;
-        }
-      }
-    }
-  }
-
-  // Same check over a hand-built non-monotone/sentinel table (kWidth64
-  // blocks, wide leader plane) round-tripped through the stream.
-  const std::vector<TimeNs> data = {
-      kTimePlusInf, us(900), us(100),     us(500), us(400), us(50),
-      kTimePlusInf, us(800), kTimeMinusInf, us(700), us(600), us(600),
-      us(710),      us(610), us(600),     us(712), us(611), us(601),
-  };
-  const CompressedTdTable odd(6, 3, data);
-  for (StateIndex s = 0; s < 6; ++s) {
-    const CompressedTdTable::RowRef row = odd.row(s);
-    for (Quality q0 = -1; q0 <= 0; ++q0) {
-      TimeNs got[4];
-      row.window4(q0, got);
-      for (int lane = 0; lane < 4; ++lane) {
-        const Quality q = q0 + lane;
-        if (q < 0 || q > 2) continue;
-        ASSERT_EQ(got[lane], row.value(q)) << "s=" << s << " q0=" << q0;
-      }
-    }
-  }
-}
-
 // RelaxationTable behind the same toggle: the compressed border planes
 // must serve bit-identical lookups — upper/lower/contains and the
 // max_relaxation scan with its exact probe count — at less memory.

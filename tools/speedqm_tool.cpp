@@ -146,6 +146,15 @@ std::string parse_choice(const ArgMap& args, const std::string& key,
   std::exit(64);
 }
 
+/// --kernel: auto (the widest vector sweep the CPU runs) or scalar.
+BatchDecisionEngine::Kernel parse_kernel(const ArgMap& args,
+                                         const char* command) {
+  return parse_choice(args, "kernel", "auto", {"auto", "scalar"}, command) ==
+                 "scalar"
+             ? BatchDecisionEngine::Kernel::kScalar
+             : BatchDecisionEngine::Kernel::kAuto;
+}
+
 /// Shared real-time backend flags (multitask + serve): --clock selects the
 /// executor clock backend, --wall-scale the wall-ns-per-sim-ns pacing
 /// factor, and the --governor* / --watchdog-retries knobs tune the
@@ -348,6 +357,9 @@ int cmd_multitask(const ArgMap& args) {
   spec.budget_factor = parse_real(args, "factor", 1.10);
   const auto cycles =
       static_cast<std::size_t>(parse_uint(args, "cycles", 64));
+  // The executor accepts a zero horizon and would report a clean run of
+  // nothing; like serve, a run must cover at least one cycle.
+  if (cycles == 0) throw contract_error("multitask: --cycles must be >= 1");
   const std::string flavor = parse_choice(
       args, "manager", "batch", {"batch", "batch-incremental", "sequential"},
       "multitask");
@@ -356,12 +368,7 @@ int cmd_multitask(const ArgMap& args) {
                                          {"flat", "compressed"}, "multitask");
   const ArenaLayout layout =
       arena == "compressed" ? ArenaLayout::kCompressed : ArenaLayout::kFlat;
-  const std::string kernel_name = parse_choice(
-      args, "kernel", "auto", {"auto", "scalar", "vector"}, "multitask");
-  const BatchDecisionEngine::Kernel kernel =
-      kernel_name == "scalar"   ? BatchDecisionEngine::Kernel::kScalar
-      : kernel_name == "vector" ? BatchDecisionEngine::Kernel::kVector
-                                : BatchDecisionEngine::Kernel::kAuto;
+  const BatchDecisionEngine::Kernel kernel = parse_kernel(args, "multitask");
   const std::string perturb_name =
       parse_choice(args, "perturb", "none", perturb_choices(), "multitask");
   PerturbationScenario perturb;
@@ -593,13 +600,7 @@ int cmd_serve(const ArgMap& args) {
       parse_choice(args, "arena", "flat", {"flat", "compressed"}, "serve");
   spec.layout = arena == "compressed" ? ArenaLayout::kCompressed
                                       : ArenaLayout::kFlat;
-  const std::string kernel_name = parse_choice(
-      args, "kernel", "auto", {"auto", "scalar", "vector"}, "serve");
-  spec.kernel = kernel_name == "scalar"
-                    ? BatchDecisionEngine::Kernel::kScalar
-                : kernel_name == "vector"
-                    ? BatchDecisionEngine::Kernel::kVector
-                    : BatchDecisionEngine::Kernel::kAuto;
+  spec.kernel = parse_kernel(args, "serve");
   const std::string placement = parse_choice(
       args, "placement", "best-fit", {"best-fit", "most-slack"}, "serve");
   spec.placement = placement == "most-slack" ? PlacementPolicy::kMostSlack
@@ -810,14 +811,14 @@ void usage() {
       "                      regions|relaxation|batch] [--csv PREFIX]\n"
       "  multitask [--tasks N] [--cycles N] [--seed N] [--factor F]\n"
       "           [--manager batch|batch-incremental|sequential] [--stream]\n"
-      "           [--arena flat|compressed] [--kernel auto|scalar|vector]\n"
+      "           [--arena flat|compressed] [--kernel auto|scalar]\n"
       "           [--perturb NAME]\n"
       "           [--workload mix|trace-replay] [--workload-spec K=V,...]\n"
       "           [--clock sim|wall|virtual] [real-time flags]\n"
       "  serve    [--tasks N] [--shards S] [--workers W] [--cycles N]\n"
       "           [--arrivals N] [--initial K] [--seed N] [--factor F]\n"
       "           [--placement best-fit|most-slack] [--arena flat|compressed]\n"
-      "           [--kernel auto|scalar|vector] [--perturb NAME]\n"
+      "           [--kernel auto|scalar] [--perturb NAME]\n"
       "           [--workload poisson|bursty|diurnal|checkpoint]\n"
       "           [--workload-spec K=V,...]\n"
       "           [--frontend P] [--slo-out FILE] [--slo-target F]\n"

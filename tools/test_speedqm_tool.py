@@ -8,7 +8,7 @@ serve and multitask must be an unsigned decimal in range: a sign, trailing
 characters or an out-of-range value is a usage error (exit 64), never a
 wrapped, truncated or defaulted run. A zero pool, shard count, horizon or
 budget factor is rejected the same way, and so is any flag the subcommand
-does not take. Each case runs under a timeout, so a regression to the old
+does not take or any enum value it does not offer. Each case runs under a timeout, so a regression to the old
 wrap-around (--tasks -1 serving 2^64 - 1 tasks) fails instead of hanging.
 """
 import os
@@ -82,6 +82,22 @@ class RejectedRequests(unittest.TestCase):
         # server is built; an empty pool must not reach that arithmetic.
         r = self.assert_rejected("serve", "--tasks", "0", "--arrivals", "4")
         self.assertIn("--tasks", r.stderr)
+
+    def test_zero_multitask_horizon_is_a_usage_error(self):
+        # The executor accepts a zero horizon; the tool must not report a
+        # clean run of nothing.
+        for extra in ((), ("--stream",)):
+            with self.subTest(extra=extra):
+                r = self.assert_rejected("multitask", "--cycles", "0", *extra)
+                self.assertIn("--cycles", r.stderr)
+                self.assertNotIn("over 0 actions", r.stdout)
+
+    def test_retired_kernel_modes_are_rejected(self):
+        # --kernel vector was folded into auto (the widest vector kernel).
+        for command in ("multitask", "serve"):
+            with self.subTest(command=command):
+                r = self.assert_rejected(command, "--kernel", "vector")
+                self.assertIn("auto|scalar)", r.stderr)
 
     def test_unknown_flags_are_named_and_rejected(self):
         for args in (("serve", "--async"), ("serve", "--bogus"),
