@@ -1,6 +1,6 @@
 // Experiment S1 — sharded multi-clock serving (serve/ShardedServer).
 //
-// Three claims, two gated everywhere and one gated where hardware allows:
+// Four claims, three gated everywhere and one gated where hardware allows:
 //   1. Degenerate equivalence: S = 1 sharded serving is bit-identical to
 //      the PR-3 path (BatchMultiTaskManager over MultiTaskMix) — same
 //      steps, same mean quality bits, same decision ops.
@@ -10,13 +10,18 @@
 //   3. Scaling (needs >= 4 hardware threads, else SKIP): serving the
 //      T = 32 mix on S = 4 shards with 4 workers is >= 3x the S = 1
 //      single-clock throughput (most-slack placement, min over repeats).
+//   4. Setup scaling: setup per admitted task (pool build plus initial
+//      placement through admission) at T = 4096 is at most 2x the T = 512
+//      figure on S = 8 shards with most-slack placement (min over
+//      repeats), so setup grows about linearly in T.
 //
 // Writes BENCH_sharded.json. Only machine-portable cells go to the JSON —
 // per-step serving cost and decision ops of the SERIAL (workers = 1)
 // execution per shard count — so the committed baseline gates regressions
 // through tools/compare_bench.py on any runner. Wall-clock scaling numbers
 // are printed (and gated) but never baselined: they depend on the
-// runner's core count.
+// runner's core count. The setup-scaling gate compares two runs on one
+// machine and is not baselined either.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -265,6 +270,42 @@ bool measure_and_gate_scaling(std::vector<DecisionBenchRecord>& records) {
   return ok;
 }
 
+/// Seconds of setup per admitted task: constructing the server (pool
+/// build) plus serve()'s initial placement, i.e. everything outside
+/// serve()'s wall window, for a one-cycle run. Min over `repeats`.
+double setup_s_per_task(std::size_t tasks, int repeats) {
+  double best = 0;
+  for (int repeat = 0; repeat < repeats; ++repeat) {
+    ShardedServerSpec spec = server_spec(8, 1, 1);
+    spec.mix.num_tasks = tasks;
+    const auto t0 = std::chrono::steady_clock::now();
+    ShardedServer server(spec);
+    const ServingSummary summary = server.serve();
+    const double total = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    const double per_task = (total - summary.wall_seconds) /
+                            static_cast<double>(std::max<std::size_t>(
+                                1, summary.admitted));
+    if (repeat == 0 || per_task < best) best = per_task;
+  }
+  return best;
+}
+
+/// Gate 4: setup per admitted task stays flat from T = 512 to T = 4096.
+bool check_setup_scaling() {
+  const double small = setup_s_per_task(512, 3);
+  const double large = setup_s_per_task(4096, 3);
+  const double ratio = large / small;
+  std::printf("\nsetup per admitted task (S=8, most-slack): T=512 %.1f us, "
+              "T=4096 %.1f us\n", small * 1e6, large * 1e6);
+  char claim[160];
+  std::snprintf(claim, sizeof(claim),
+                "setup per admitted task at T=4096 <= 2.00x T=512 (S=8, "
+                "most-slack, measured %.2fx)", ratio);
+  return shape_check(claim, ratio <= 2.0);
+}
+
 }  // namespace
 
 int main() {
@@ -279,6 +320,7 @@ int main() {
   ok &= check_degenerate_equivalence(32);
   ok &= check_admission_determinism();
   ok &= measure_and_gate_scaling(records);
+  ok &= check_setup_scaling();
 
   write_decision_bench_json("BENCH_sharded.json", "sharded_serving", records);
   std::printf("\nwrote BENCH_sharded.json (%zu records)\n", records.size());

@@ -66,6 +66,7 @@
 #include "core/td_compressed.hpp"
 #include "core/td_incremental.hpp"
 #include "core/types.hpp"
+#include "support/cache_line.hpp"
 #include "support/contract.hpp"
 
 namespace speedqm {
@@ -161,7 +162,7 @@ class BatchDecisionEngine {
   // Task-major SoA cursors (the decide_all hot state).
   std::vector<const TimeNs*> table_;  ///< per task: arena base of its tD table
   std::vector<StateIndex> n_;         ///< per task: number of states
-  std::vector<Quality> hint_;         ///< per task: warm hint (-1 = cold)
+  CacheLineVector<Quality> hint_;     ///< per task: warm hint (-1 = cold)
 
   std::vector<TimeNs> arena_;         ///< tabled flat: all tables back to back
   std::vector<CompressedTdTable> ctable_;  ///< tabled compressed: per task
@@ -172,8 +173,9 @@ class BatchDecisionEngine {
 /// (see file comment). Plugs into the unmodified cyclic executor as a
 /// QualityManager over the composed interleaved schedule; the whole
 /// epoch's op count is charged to the refreshing call, cached hits are
-/// free.
-class MultiTaskEpochManager : public QualityManager {
+/// free. Cache-line aligned, like its per-task state: each shard's
+/// manager is written every step by its own worker (support/cache_line.hpp).
+class alignas(kCacheLineBytes) MultiTaskEpochManager : public QualityManager {
  public:
   /// Inline so a caller holding the concrete manager type pays no call
   /// for the common case: a cached decision from the current epoch.
@@ -217,9 +219,9 @@ class MultiTaskEpochManager : public QualityManager {
 
   const ComposedSystem* system_;
   std::vector<StateIndex> sizes_;       ///< per task: local action count
-  std::vector<StateIndex> next_local_;  ///< per task: next local action
-  std::vector<Decision> cached_;        ///< per task: last epoch's decision
-  std::vector<std::uint8_t> fresh_;     ///< per task: cached and unconsumed
+  CacheLineVector<StateIndex> next_local_;  ///< per task: next local action
+  CacheLineVector<Decision> cached_;  ///< per task: last epoch's decision
+  CacheLineVector<std::uint8_t> fresh_;  ///< per task: cached, unconsumed
   std::size_t epochs_ = 0;
 };
 

@@ -37,10 +37,11 @@ FeasibilityReport analyze_feasibility(const PolicyEngine& engine);
 /// Feasibility of a co-scheduled task mix: every task decides against the
 /// shared clock with its own coexistence-margin-inflated model, so the mix
 /// is feasible iff every per-task engine is feasible on its own. This is
-/// the admission-control predicate of serve/AdmissionController: a joining
-/// task thickens everyone's margins, and the report says whether the
-/// thickened mix still starts feasible and how much slack the tightest
-/// task retains.
+/// the admission-control predicate: a joining task thickens everyone's
+/// margins, and the report says whether the thickened mix still starts
+/// feasible and how much slack the tightest task retains.
+/// serve/AdmissionController answers it in closed form; its tests use this
+/// report as the oracle.
 struct MixFeasibilityReport {
   /// Every task's start state is feasible.
   bool feasible = false;

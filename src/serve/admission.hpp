@@ -1,13 +1,42 @@
 // Admission control for sharded serving.
 //
-// A shard's cycle budget (its capacity) is fixed at serving start; a task
-// asking to join consumes capacity indirectly, by thickening every
+// A shard's cycle budget B (its capacity) is fixed at serving start; a
+// task asking to join consumes capacity indirectly, by thickening every
 // member's coexistence margin (workload/scenarios.hpp,
-// inflate_for_coexistence). The admission question is therefore exactly
-// the paper's feasibility precondition, asked per shard over the would-be
-// member set: with the newcomer's margins folded in, does every member
-// (and the newcomer) still satisfy tD(0, qmin) >= 0 against the shard's
-// budget?
+// inflate_for_coexistence). The admission question is the paper's
+// feasibility precondition, asked per shard over the would-be member set
+// M: with the newcomer's margins folded in, does every member k still
+// satisfy tD_k(0, qmin) >= 0 against B?
+//
+// Closed form. The controllers build_member_controllers assembles for M
+// give each member k:
+//   * exactly one deadline, B on its last action (every other one is
+//     cleared), and
+//   * a controller model whose Cav and Cwc are the raw model's plus two
+//     per-action constants added to both alike: the coexistence margin
+//     m_k (constant over k's actions at a given quality) and the §2.2.2
+//     overhead margin (BatchCallEstimate is constant per action).
+// At q = qmin the mixed policy's δ terms are Cwc − Cav differences, so
+// both margins cancel in them; with Cav <= Cwc (Definition 1) δmax is the
+// sum of all of them and tD_k(0, qmin) = B − total Cwc_k(qmin). Only the
+// coexistence margin moves that total, by n_k · m_k:
+//
+//   slack_k(M) = B − X_k − n_k · m_k
+//   X_k = total Cwc(qmin) of k's solo controller model (raw model, plus
+//         the overhead margin when spec.inflate_overhead)
+//   m_k = TimeNs(double(Σ_{j∈M, j≠k} C_j) / double(n_k) + 0.5), or 0 when
+//         !spec.coexistence_margin;   C_j = raw total Cav_j(qmin)
+//
+// n_k, C_k and X_k are computed once per pool task at construction, so
+// evaluating a member set is one O(|M|) pass with no allocation beyond a
+// duplicate-check bitmap. inflate_for_coexistence sums the C_j in double;
+// they are integers, so every partial sum below 2^53 is exact in any
+// order, and double(Σ_M C − C_k) reproduces its sum bit for bit. The
+// constructor throws contract_error unless the pool's Σ C_j < 2^53
+// (checked_exact_sum). tests/test_admission.cpp keeps the rebuild path
+// (build_member_controllers + analyze_mix_feasibility) as the oracle, so
+// a change to either assumption above — one shared deadline, additive
+// per-action margins — fails there.
 //
 // Placement evaluates every shard and picks among the feasible ones by
 // policy (ties to the lowest shard index):
@@ -17,18 +46,15 @@
 //   * kMostSlack — the shard retaining the MOST slack (worst-fit): the
 //                  serving-throughput choice, spreading load so no shard
 //                  becomes the straggler that bounds the worker pool.
-// Evaluation builds controller views only (build_member_controllers — no
-// schedule composition, no trace-cursor access), runs on the control
-// thread, and depends only on pool contents and current memberships, so
-// admission decisions are deterministic and identical for any
-// worker-thread count.
+// Admission runs on the control thread and depends only on pool contents
+// and current memberships, so its decisions are deterministic and
+// identical for any worker-thread count.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/feasibility.hpp"
 #include "workload/scenarios.hpp"
 
 namespace speedqm {
@@ -57,31 +83,64 @@ enum class PlacementPolicy {
 
 const char* to_string(PlacementPolicy policy);
 
+/// Feasibility of one would-be shard mix at qmin — the fields of
+/// MixFeasibilityReport that admission needs.
+struct MixSlack {
+  bool feasible = false;          ///< every member's tD(0, qmin) >= 0
+  TimeNs min_qmin_slack = 0;      ///< the binding member's slack
+  std::size_t critical_task = 0;  ///< first member (list index) with it
+};
+
+/// Sums of integer ns values are exact in double below this bound.
+inline constexpr TimeNs kExactDoubleSumLimit = TimeNs{1} << 53;
+
+/// Σ `values`, checked in every build: throws contract_error on a negative
+/// value or when the sum reaches kExactDoubleSumLimit, so every partial
+/// sum of the values, in any order, is exact in double.
+TimeNs checked_exact_sum(const std::vector<TimeNs>& values);
+
 class AdmissionController {
  public:
   /// `budget` is the per-shard cycle capacity every evaluation is made
-  /// against.
+  /// against. Throws contract_error, in every build, on a null pool, a
+  /// non-positive budget, or a pool whose Σ C_j reaches 2^53 ns.
   AdmissionController(std::shared_ptr<TaskPool> pool, TimeNs budget,
                       PlacementPolicy policy = PlacementPolicy::kBestFit);
 
   TimeNs budget() const { return budget_; }
   PlacementPolicy policy() const { return policy_; }
 
-  /// Feasibility of a hypothetical member set on one shard.
-  MixFeasibilityReport evaluate(const std::vector<std::size_t>& members) const;
+  /// Feasibility of a hypothetical member set on one shard. Throws
+  /// contract_error, in every build, on an empty set, a task outside the
+  /// pool or a duplicate member.
+  MixSlack evaluate(const std::vector<std::size_t>& members) const;
 
-  /// Evaluates joining `task` to each of `shard_members` and picks the
-  /// best-fit feasible shard. Does not mutate the memberships; the caller
-  /// applies the placement.
+  /// Evaluates joining `task` to each of `shard_members` and picks a
+  /// feasible shard by policy. Does not mutate the memberships; the caller
+  /// applies the placement. Throws contract_error, in every build, on an
+  /// empty shard list, a task outside the pool, or a task listed twice
+  /// (`task` itself included).
   AdmissionDecision admit(std::size_t task,
                           const std::vector<std::vector<std::size_t>>& shard_members,
                           std::size_t cycle) const;
 
  private:
-  std::shared_ptr<TaskPool> pool_;
+  /// Per pool task constants of the closed form.
+  struct TaskTerms {
+    TimeNs actions = 0;    ///< n_k
+    TimeNs cav_qmin = 0;   ///< C_k
+    TimeNs cwc_qmin = 0;   ///< X_k
+  };
+
+  /// slack_k of pool task `task` in a mix whose Σ C is `cav_total`.
+  TimeNs slack_of(std::size_t task, TimeNs cav_total) const;
+  /// Checks `task` against the pool and `seen`, then marks it.
+  void mark_member(std::size_t task, std::vector<char>& seen) const;
+
   TimeNs budget_;
   PlacementPolicy policy_;
-  OverheadModel overhead_;
+  bool coexistence_margin_;
+  std::vector<TaskTerms> terms_;
 };
 
 }  // namespace speedqm

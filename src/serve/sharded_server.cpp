@@ -239,6 +239,13 @@ bool ShardedServer::leave(std::size_t task) {
   return false;
 }
 
+bool ShardedServer::resident(std::size_t task) const {
+  return std::any_of(shards_.begin(), shards_.end(), [task](const Shard& shard) {
+    return std::find(shard.members.begin(), shard.members.end(), task) !=
+           shard.members.end();
+  });
+}
+
 void ShardedServer::apply_events(std::size_t cycle) {
   for (const ArrivalEvent& event : schedule_.events_at(cycle)) {
     if (event.join) {
@@ -268,12 +275,7 @@ void ShardedServer::apply_frontend(std::size_t cycle) {
     // A join for a task already resident somewhere is a racy duplicate —
     // drop it (counted) rather than double-admit; ArrivalSchedules cannot
     // express this state, so the differential paths never disagree here.
-    const bool present = std::any_of(
-        shards_.begin(), shards_.end(), [&r](const Shard& shard) {
-          return std::find(shard.members.begin(), shard.members.end(),
-                           r.task) != shard.members.end();
-        });
-    if (present) {
+    if (resident(r.task)) {
       ++frontend_dropped_;
       continue;
     }
@@ -303,8 +305,11 @@ void ShardedServer::apply_governor(std::size_t cycle) {
   // Re-admission: once a parked task's origin shard is back to Normal
   // (hysteresis satisfied), it asks to rejoin through the normal
   // admission path — logged like any join, possibly landing elsewhere.
+  // A parked task that a scripted leave/join pair already put back on a
+  // shard is resident again and stops waiting.
   std::vector<Parked> still_parked;
   for (const Parked& parked : parked_) {
+    if (resident(parked.task)) continue;
     if (shards_[parked.origin].pacer->governor().state() !=
         GovernorState::kNormal) {
       still_parked.push_back(parked);

@@ -193,6 +193,8 @@ class ShardedServer {
   /// Removes `task` from the shard holding it (marked for rebuild);
   /// returns false when no shard holds it.
   bool leave(std::size_t task);
+  /// Whether some shard holds `task`.
+  bool resident(std::size_t task) const;
   void apply_events(std::size_t cycle);
   /// Applies the front-end requests matured at `cycle` (no-op without a
   /// front-end): leaves erase the member, joins go through admission.

@@ -23,6 +23,7 @@
 // couple sim/ to anything above it.
 #include "serve/slo_histogram.hpp"
 #include "sim/executor.hpp"
+#include "support/cache_line.hpp"
 
 namespace speedqm {
 
@@ -77,8 +78,10 @@ struct RunSummary {
 /// Folds a RunSummary (including the smoothness report and the relaxation
 /// histogram) online from a step/cycle stream. Plug into
 /// ExecutorOptions::sink for replays beyond what retained steps can hold;
-/// every fold is O(1) per step with no per-step allocation.
-class RunSummaryAccumulator final : public StepSink {
+/// every fold is O(1) per step with no per-step allocation. Cache-line
+/// aligned: each shard's accumulator is written every step by its own
+/// worker (support/cache_line.hpp).
+class alignas(kCacheLineBytes) RunSummaryAccumulator final : public StepSink {
  public:
   explicit RunSummaryAccumulator(std::string manager_name);
 

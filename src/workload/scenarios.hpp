@@ -139,9 +139,11 @@ class TaskPool {
 /// The controller-side view of one member subset of a pool: budget-bearing
 /// apps (every member due by the shared budget), controller timing models
 /// (coexistence margin over the members, then §2.2.2 overhead inflation)
-/// and per-task policy engines. This is the part admission control needs
-/// to evaluate a hypothetical placement — building it does NOT compose the
-/// schedules or read the traces.
+/// and per-task policy engines — building it does NOT compose the
+/// schedules or read the traces. serve/AdmissionController's closed form
+/// relies on its shape (one shared deadline per member, margins added to
+/// Cav and Cwc alike per action); tests/test_admission.cpp checks the two
+/// agree.
 struct MemberControllers {
   std::vector<std::size_t> members;                  ///< pool task ids
   std::vector<std::unique_ptr<ScheduledApp>> apps;   ///< budget-bearing

@@ -16,6 +16,7 @@
 #include "core/multi_task.hpp"
 #include "core/timing_model.hpp"
 #include "sim/executor.hpp"
+#include "support/cache_line.hpp"
 #include "support/contract.hpp"
 
 namespace speedqm {
@@ -95,7 +96,8 @@ class ComposedCyclicSource final : public CyclicTimeSource {
 
   std::vector<const TraceTimeSource*> sources_;
   std::vector<Slot> slots_;
-  std::vector<const TimeNs*> rows_;  ///< per task: selected cycle's table
+  /// Per task: the selected cycle's table (rewritten every cycle).
+  CacheLineVector<const TimeNs*> rows_;
   int nq_ = 0;
   std::size_t num_cycles_ = 1;
 };

@@ -1,11 +1,16 @@
 // Unit tests for src/support: time formatting, RNG determinism and
-// distribution sanity, statistics, CSV quoting, table rendering.
+// distribution sanity, statistics, CSV quoting, table rendering,
+// cache-line placement.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "core/batch_engine.hpp"
+#include "sim/metrics.hpp"
+#include "support/cache_line.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -14,6 +19,25 @@
 
 namespace speedqm {
 namespace {
+
+TEST(CacheLineTest, VectorsAndHotClassesOwnTheirLines) {
+  // Two shards' small per-task arrays, allocated back to back, must not
+  // share a line: each buffer starts on a line boundary, and a one-element
+  // buffer still takes the whole line.
+  CacheLineVector<std::uint8_t> a(1), b(1);
+  const auto addr = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p);
+  };
+  EXPECT_EQ(addr(a.data()) % kCacheLineBytes, 0u);
+  EXPECT_EQ(addr(b.data()) % kCacheLineBytes, 0u);
+  EXPECT_NE(addr(a.data()) / kCacheLineBytes, addr(b.data()) / kCacheLineBytes);
+  a.assign(200, 7);
+  EXPECT_EQ(addr(a.data()) % kCacheLineBytes, 0u);
+  EXPECT_EQ(a[199], 7);
+  static_assert(alignof(RunSummaryAccumulator) == kCacheLineBytes);
+  static_assert(sizeof(RunSummaryAccumulator) % kCacheLineBytes == 0);
+  static_assert(alignof(MultiTaskEpochManager) == kCacheLineBytes);
+}
 
 TEST(TimeTest, UnitConstructors) {
   EXPECT_EQ(ns(1), 1);
