@@ -42,27 +42,19 @@ ScheduledApp with_budget(const ScheduledApp& app, TimeNs budget) {
 
 /// Sequential "composition" baseline: tasks one after another.
 ComposedSystem compose_sequential(std::vector<TaskSpec> tasks) {
-  // Reuse compose_tasks on single tasks and concatenate manually.
+  // Concatenate the tasks; the composed model follows the mapping.
   std::vector<std::string> names;
   std::vector<TimeNs> deadlines;
-  TimingModelBuilder builder(tasks.front().timing->num_levels());
   std::vector<TaskRef> mapping;
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     for (ActionIndex i = 0; i < tasks[t].app->size(); ++i) {
       names.push_back(tasks[t].name + "/" + tasks[t].app->name(i));
       deadlines.push_back(tasks[t].app->deadline(i));
       mapping.push_back(TaskRef{t, i});
-      std::vector<TimeNs> cav, cwc;
-      for (Quality q = 0; q < tasks[t].timing->num_levels(); ++q) {
-        cav.push_back(tasks[t].timing->cav(i, q));
-        cwc.push_back(tasks[t].timing->cwc(i, q));
-      }
-      builder.action(cav, cwc);
     }
   }
   ScheduledApp app(std::move(names), std::move(deadlines));
-  return ComposedSystem(std::move(tasks), std::move(app),
-                        std::move(builder).build(), std::move(mapping));
+  return ComposedSystem(std::move(tasks), std::move(app), std::move(mapping));
 }
 
 struct Outcome {

@@ -1,6 +1,6 @@
 // Experiment S1 — sharded multi-clock serving (serve/ShardedServer).
 //
-// Four claims, three gated everywhere and one gated where hardware allows:
+// Five claims, four gated everywhere and one gated where hardware allows:
 //   1. Degenerate equivalence: S = 1 sharded serving is bit-identical to
 //      the PR-3 path (BatchMultiTaskManager over MultiTaskMix) — same
 //      steps, same mean quality bits, same decision ops.
@@ -14,18 +14,23 @@
 //      placement through admission) at T = 4096 is at most 2x the T = 512
 //      figure on S = 8 shards with most-slack placement (min over
 //      repeats), so setup grows about linearly in T.
+//   5. Rebuild scaling: one shard rebuild (MultiTaskMix plus its
+//      BatchMultiTaskManager, built and torn down) costs at most 1.5x
+//      more ns per composite action with 256 members than with 32 (min of
+//      7 interleaved runs), so a rebuild stays O(N log T) in practice.
 //
 // Writes BENCH_sharded.json. Only machine-portable cells go to the JSON —
 // per-step serving cost and decision ops of the SERIAL (workers = 1)
 // execution per shard count — so the committed baseline gates regressions
 // through tools/compare_bench.py on any runner. Wall-clock scaling numbers
 // are printed (and gated) but never baselined: they depend on the
-// runner's core count. The setup-scaling gate compares two runs on one
-// machine and is not baselined either.
+// runner's core count. The setup- and rebuild-scaling gates compare two
+// runs on one machine and are not baselined either.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -306,6 +311,48 @@ bool check_setup_scaling() {
   return shape_check(claim, ratio <= 2.0);
 }
 
+/// Gate 5: a shard rebuild's cost per composite action stays flat from 32
+/// to 256 members (one pool of 256 tasks; the 32-member shard is its first
+/// 32 tasks).
+bool check_rebuild_scaling() {
+  MultiTaskMixSpec spec = pool_spec();
+  spec.num_tasks = 256;
+  const auto pool = std::make_shared<TaskPool>(spec);
+  // ns per composite action of one build + teardown of `count` members.
+  const auto rebuild_ns_per_action = [&](std::size_t count) {
+    std::vector<std::size_t> members(count);
+    for (std::size_t i = 0; i < count; ++i) members[i] = i;
+    const TimeNs budget = pool->budget_for(members);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto mix = std::make_unique<MultiTaskMix>(pool, members, budget);
+    auto manager = std::make_unique<BatchMultiTaskManager>(mix->composed(),
+                                                           mix->engines());
+    const auto actions = static_cast<double>(mix->composed().app().size());
+    manager.reset();
+    mix.reset();
+    return std::chrono::duration<double, std::nano>(
+               std::chrono::steady_clock::now() - t0)
+               .count() /
+           actions;
+  };
+  double small = 0;
+  double large = 0;
+  for (int run = 0; run < 7; ++run) {
+    const double s32 = rebuild_ns_per_action(32);
+    const double s256 = rebuild_ns_per_action(256);
+    if (run == 0 || s32 < small) small = s32;
+    if (run == 0 || s256 < large) large = s256;
+  }
+  const double ratio = large / small;
+  std::printf("shard rebuild per composite action: 32 members %.0f ns, "
+              "256 members %.0f ns\n", small, large);
+  char claim[160];
+  std::snprintf(claim, sizeof(claim),
+                "shard rebuild ns per composite action at 256 members <= "
+                "1.50x at 32 members (measured %.2fx)", ratio);
+  return shape_check(claim, ratio <= 1.5);
+}
+
 }  // namespace
 
 int main() {
@@ -321,6 +368,7 @@ int main() {
   ok &= check_admission_determinism();
   ok &= measure_and_gate_scaling(records);
   ok &= check_setup_scaling();
+  ok &= check_rebuild_scaling();
 
   write_decision_bench_json("BENCH_sharded.json", "sharded_serving", records);
   std::printf("\nwrote BENCH_sharded.json (%zu records)\n", records.size());

@@ -203,7 +203,7 @@ bool check_adapter_bit_identity(std::vector<DecisionBenchRecord>& records) {
   MultiTaskMix assembly(mix_spec);
   BatchMultiTaskManager gen_mgr(assembly.composed(), assembly.engines());
   GeneratorTimeSource source(*gen, cycles, assembly.composed().app().size(),
-                             assembly.composed().timing().num_levels());
+                             assembly.composed().num_levels());
   QualityStreamSink gen_sink;
   ExecutorOptions gen_opts = assembly.executor_options(cycles);
   gen_opts.retain_steps = false;

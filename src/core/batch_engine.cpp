@@ -114,26 +114,22 @@ BatchDecisionEngine::BatchDecisionEngine(
     // table (s = n) must stay inside the allocation. Bounds: front, h-1
     // with h >= -1 reaches 2 entries before a row; back, s = n with
     // h <= nq-1 reaches nq + 1 entries past a table's end.
+    // Each table is compiled straight into its arena slot, with one
+    // scratch stack for all of them.
     const std::size_t front_pad = 2;
     const std::size_t back_pad = static_cast<std::size_t>(nq_) + 2;
-    table_.assign(T, nullptr);
     std::size_t total = 0;
     for (std::size_t task = 0; task < T; ++task) {
       total += n_[task] * static_cast<std::size_t>(nq_);
     }
-    arena_.reserve(front_pad + total + back_pad);
-    arena_.assign(front_pad, 0);
-    std::vector<std::size_t> offset(T);
+    arena_.assign(front_pad + total + back_pad, 0);
+    table_.resize(T);
+    TdTableScratch scratch;
+    TimeNs* base = arena_.data() + front_pad;
     for (std::size_t task = 0; task < T; ++task) {
-      offset[task] = arena_.size();
-      const std::vector<TimeNs> td = engines_[task]->td_table();
-      arena_.insert(arena_.end(), td.begin(), td.end());
-    }
-    arena_.insert(arena_.end(), back_pad, 0);
-    // Bases assigned after all inserts (reserve makes them stable anyway,
-    // but do not depend on it).
-    for (std::size_t task = 0; task < T; ++task) {
-      table_[task] = arena_.data() + offset[task];
+      table_[task] = base;
+      engines_[task]->td_table_into(base, scratch);
+      base += n_[task] * static_cast<std::size_t>(nq_);
     }
   }
 }

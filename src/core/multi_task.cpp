@@ -5,19 +5,46 @@
 namespace speedqm {
 
 ComposedSystem::ComposedSystem(std::vector<TaskSpec> tasks, ScheduledApp app,
-                               TimingModel timing, std::vector<TaskRef> mapping)
+                               std::vector<TaskRef> mapping)
     : tasks_(std::move(tasks)),
       app_(std::move(app)),
-      timing_(std::move(timing)),
       mapping_(std::move(mapping)) {
+  SPEEDQM_REQUIRE(!tasks_.empty(), "ComposedSystem: need at least one task");
   SPEEDQM_ASSERT(mapping_.size() == app_.size(), "ComposedSystem: bad mapping");
   composite_of_.resize(tasks_.size());
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
     composite_of_[t].resize(tasks_[t].app->size());
   }
   for (ActionIndex i = 0; i < mapping_.size(); ++i) {
-    composite_of_[mapping_[i].task][mapping_[i].local_action] = i;
+    const TaskRef& ref = mapping_[i];
+    SPEEDQM_REQUIRE(ref.task < tasks_.size() &&
+                        ref.local_action < composite_of_[ref.task].size(),
+                    "ComposedSystem: mapping names no task action");
+    composite_of_[ref.task][ref.local_action] = i;
   }
+}
+
+const TimingModel& ComposedSystem::timing() const {
+  std::call_once(timing_->once, [this] {
+    // The tasks' rows copied straight into two flat arrays, in composite
+    // order.
+    const auto nq = static_cast<std::size_t>(num_levels());
+    const ActionIndex n = mapping_.size();
+    std::vector<TimeNs> cav(n * nq);
+    std::vector<TimeNs> cwc(n * nq);
+    for (ActionIndex i = 0; i < n; ++i) {
+      const TaskRef& ref = mapping_[i];
+      const TimingModel& tm = *tasks_[ref.task].timing;
+      for (std::size_t q = 0; q < nq; ++q) {
+        const auto qq = static_cast<Quality>(q);
+        cav[i * nq + q] = tm.cav_unchecked(ref.local_action, qq);
+        cwc[i * nq + q] = tm.cwc_unchecked(ref.local_action, qq);
+      }
+    }
+    timing_->model = std::make_unique<const TimingModel>(
+        n, num_levels(), std::move(cav), std::move(cwc));
+  });
+  return *timing_->model;
 }
 
 ActionIndex ComposedSystem::composite_index(std::size_t task,
@@ -61,51 +88,68 @@ ComposedSystem compose_tasks(std::vector<TaskSpec> tasks) {
     total += t.app->size();
   }
 
-  std::vector<std::string> names;
-  std::vector<TimeNs> deadlines;
-  std::vector<TaskRef> mapping;
-  names.reserve(total);
-  deadlines.reserve(total);
-  mapping.reserve(total);
-
-  TimingModelBuilder builder(nq);
-  std::vector<ActionIndex> next(tasks.size(), 0);
+  std::vector<std::string> names(total);
+  std::vector<TimeNs> deadlines(total);
+  std::vector<TaskRef> mapping(total);
 
   // Proportional-fair interleave: repeatedly emit the next action of the
-  // task with the smallest completed fraction (ties: lowest task index —
-  // deterministic).
-  for (ActionIndex emitted = 0; emitted < total; ++emitted) {
-    std::size_t pick = tasks.size();
-    double best_fraction = 2.0;
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      if (next[t] >= tasks[t].app->size()) continue;
-      const double fraction = static_cast<double>(next[t]) /
-                              static_cast<double>(tasks[t].app->size());
-      if (fraction < best_fraction) {
-        best_fraction = fraction;
-        pick = t;
-      }
-    }
-    SPEEDQM_ASSERT(pick < tasks.size(), "compose_tasks: interleave exhausted");
+  // task with the smallest completed fraction next/size (ties: lowest task
+  // index — deterministic). A T-way merge: a binary min-heap holds one head
+  // per unfinished task, ordered by (fraction, task), so each emission
+  // costs one O(log T) sift. Fractions are compared as the double
+  // next/size: equal fractions (1/2, 2/4) are equal doubles, so exact ties
+  // fall to the lower task index.
+  struct Head {
+    double fraction;
+    std::size_t task;
+  };
+  // Bitwise, not short-circuit: the sift below stays free of branches
+  // that flip with the data.
+  const auto before = [](const Head& a, const Head& b) {
+    return (a.fraction < b.fraction) |
+           ((a.fraction == b.fraction) & (a.task < b.task));
+  };
+  // Every task starts at fraction 0, so task order is already heap order.
+  std::vector<Head> heap(tasks.size());
+  for (std::size_t t = 0; t < tasks.size(); ++t) heap[t] = Head{0.0, t};
+  std::vector<ActionIndex> next(tasks.size(), 0);
 
-    const ActionIndex local = next[pick]++;
+  for (ActionIndex i = 0; i < total; ++i) {
+    SPEEDQM_ASSERT(!heap.empty(), "compose_tasks: interleave exhausted");
+    const std::size_t pick = heap.front().task;
     const auto& task = tasks[pick];
-    names.push_back(task.name + "/" + task.app->name(local));
-    deadlines.push_back(task.app->deadline(local));
-    mapping.push_back(TaskRef{pick, local});
+    const ActionIndex local = next[pick]++;
 
-    std::vector<TimeNs> cav(static_cast<std::size_t>(nq));
-    std::vector<TimeNs> cwc(static_cast<std::size_t>(nq));
-    for (Quality q = 0; q < nq; ++q) {
-      cav[static_cast<std::size_t>(q)] = task.timing->cav(local, q);
-      cwc[static_cast<std::size_t>(q)] = task.timing->cwc(local, q);
+    // Re-key the emitted head, or retire it and move the last head up;
+    // then sift it down from the root.
+    Head moving{static_cast<double>(next[pick]) /
+                    static_cast<double>(task.app->size()),
+                pick};
+    if (next[pick] == task.app->size()) {
+      moving = heap.back();
+      heap.pop_back();
     }
-    builder.action(cav, cwc);
+    const std::size_t live = heap.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < live; child = 2 * hole + 1) {
+      const std::size_t right = child + 1 < live ? child + 1 : child;
+      child += static_cast<std::size_t>(before(heap[right], heap[child]));
+      if (!before(heap[child], moving)) break;
+      heap[hole] = heap[child];
+      hole = child;
+    }
+    if (live > 0) heap[hole] = moving;
+
+    const std::string& local_name = task.app->name(local);
+    std::string& name = names[i];
+    name.reserve(task.name.size() + 1 + local_name.size());
+    name.append(task.name).append(1, '/').append(local_name);
+    deadlines[i] = task.app->deadline(local);
+    mapping[i] = TaskRef{pick, local};
   }
 
   ScheduledApp app(std::move(names), std::move(deadlines));
-  return ComposedSystem(std::move(tasks), std::move(app),
-                        std::move(builder).build(), std::move(mapping));
+  return ComposedSystem(std::move(tasks), std::move(app), std::move(mapping));
 }
 
 ComposedTimeSource::ComposedTimeSource(const ComposedSystem& system,

@@ -15,12 +15,15 @@
 //   * the composed TimingModel concatenates the per-task rows; all tasks
 //     must agree on the quality-level count (one shared quality knob — the
 //     manager degrades or raises all tasks together, preserving the
-//     paper's single-parameter policy structure).
+//     paper's single-parameter policy structure). It is built on first
+//     use: per-task managers (the batched serving path) never read it.
 //
 // The composition keeps a mapping back to (task, local action) so run
 // results can be re-attributed per task.
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,11 +49,17 @@ struct TaskRef {
 /// The composed system plus provenance.
 class ComposedSystem {
  public:
+  /// `mapping[i]` is the origin of composite action i of `app`; the
+  /// composed timing model is assembled from the tasks' rows through it.
   ComposedSystem(std::vector<TaskSpec> tasks, ScheduledApp app,
-                 TimingModel timing, std::vector<TaskRef> mapping);
+                 std::vector<TaskRef> mapping);
 
   const ScheduledApp& app() const { return app_; }
-  const TimingModel& timing() const { return timing_; }
+  /// The composed timing model: every task's Cav/Cwc rows in composite
+  /// order. Built on the first call (thread-safe) and kept.
+  const TimingModel& timing() const;
+  /// The shared quality level count (no timing model needed).
+  int num_levels() const { return tasks_.front().timing->num_levels(); }
   std::size_t num_tasks() const { return tasks_.size(); }
   const std::string& task_name(std::size_t t) const { return tasks_.at(t).name; }
   /// The composed task's spec (local app/timing pointers stay valid for the
@@ -69,14 +78,20 @@ class ComposedSystem {
   std::vector<double> per_task_quality(const CycleResult& run) const;
 
  private:
+  struct LazyTiming {
+    std::once_flag once;
+    std::unique_ptr<const TimingModel> model;
+  };
+
   std::vector<TaskSpec> tasks_;
   ScheduledApp app_;
-  TimingModel timing_;
   std::vector<TaskRef> mapping_;
   std::vector<std::vector<ActionIndex>> composite_of_;  // [task][local] -> i
+  std::unique_ptr<LazyTiming> timing_ = std::make_unique<LazyTiming>();
 };
 
-/// Composes the tasks by proportional interleaving. Requirements: at least
+/// Composes the tasks by proportional interleaving, as a T-way heap merge:
+/// O(N log T) for N composite actions over T tasks. Requirements: at least
 /// one task, equal num_levels across tasks, every task non-empty.
 ComposedSystem compose_tasks(std::vector<TaskSpec> tasks);
 

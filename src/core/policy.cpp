@@ -167,23 +167,30 @@ Decision PolicyEngine::decide_scan(StateIndex s, TimeNs t) const {
 // ---------------------------------------------------------------------------
 
 std::vector<TimeNs> PolicyEngine::td_table() const {
-  const auto nq = static_cast<std::size_t>(timing_->num_levels());
-  std::vector<TimeNs> table(num_states() * nq, kTimePlusInf);
-  std::vector<TimeNs> column(num_states());
-  for (Quality q = 0; q < timing_->num_levels(); ++q) {
-    switch (kind_) {
-      case PolicyKind::kMixed: td_table_mixed(q, column); break;
-      case PolicyKind::kSafe: td_table_safe(q, column); break;
-      case PolicyKind::kAverage: td_table_average(q, column); break;
-    }
-    for (StateIndex s = 0; s < num_states(); ++s) {
-      table[s * nq + static_cast<std::size_t>(q)] = column[s];
-    }
-  }
+  std::vector<TimeNs> table(num_states() *
+                            static_cast<std::size_t>(timing_->num_levels()));
+  TdTableScratch scratch;
+  td_table_into(table.data(), scratch);
   return table;
 }
 
-void PolicyEngine::td_table_mixed(Quality q, std::vector<TimeNs>& out) const {
+void PolicyEngine::td_table_into(TimeNs* out, TdTableScratch& scratch) const {
+  for (Quality q = 0; q < timing_->num_levels(); ++q) {
+    TimeNs* column = out + q;
+    switch (kind_) {
+      case PolicyKind::kMixed: td_column_mixed(q, column, scratch.stack_); break;
+      case PolicyKind::kSafe: td_column_safe(q, column); break;
+      case PolicyKind::kAverage: td_column_average(q, column); break;
+    }
+  }
+}
+
+// The column sweeps read the model through its unchecked accessors: every
+// index is in range by construction (s < n, s + 1 <= n).
+
+void PolicyEngine::td_column_mixed(
+    Quality q, TimeNs* column,
+    std::vector<TdTableScratch::Segment>& stack) const {
   // tD(s, q) = Av_q(s) + min_{k >= s, D(k) finite} [ G(k) - max_{s<=j<=k} M(j) ]
   // with M(j) = Av_q(j) + Cwc(j, q) + SufMin(j+1)
   //      G(k) = D(k) + SufMin(k+1).
@@ -194,66 +201,69 @@ void PolicyEngine::td_table_mixed(Quality q, std::vector<TimeNs>& out) const {
   // G over its deadline-carrying positions and the best (min of G - m)
   // achievable in this segment and everything to its right. Amortized O(n).
   const ActionIndex n = app_->size();
-  struct Segment {
-    TimeNs m;            // max of M over the js forming this segment
-    TimeNs min_g;        // min G(k) over deadline ks covered (kTimePlusInf if none)
-    TimeNs suffix_best;  // min over this segment and all segments below
-  };
-  std::vector<Segment> stack;
-  stack.reserve(64);
-  out.assign(n, kTimePlusInf);
+  const auto stride = static_cast<std::size_t>(timing_->num_levels());
+  const TimeNs* dl = app_->deadline_data();
+  // The stack holds at most one segment per state: size it once, then
+  // push and pop through a top index.
+  if (stack.size() < n) stack.resize(n);
+  TdTableScratch::Segment* segments = stack.data();
+  std::size_t top = 0;
 
   for (ActionIndex s = n; s-- > 0;) {
-    const TimeNs m_s = timing_->cav_prefix(s, q) + timing_->cwc(s, q) +
-                       timing_->cwc_qmin_suffix(s + 1);
-    const TimeNs d = app_->deadline(s);
-    TimeNs min_g = (d < kTimePlusInf) ? d + timing_->cwc_qmin_suffix(s + 1)
-                                      : kTimePlusInf;
-    while (!stack.empty() && stack.back().m <= m_s) {
-      min_g = std::min(min_g, stack.back().min_g);
-      stack.pop_back();
+    const TimeNs prefix = timing_->cav_prefix_unchecked(s, q);
+    const TimeNs suffix = timing_->cwc_qmin_suffix_unchecked(s + 1);
+    const TimeNs m_s = prefix + timing_->cwc_unchecked(s, q) + suffix;
+    const TimeNs d = dl[s];
+    TimeNs min_g = (d < kTimePlusInf) ? d + suffix : kTimePlusInf;
+    while (top > 0 && segments[top - 1].m <= m_s) {
+      min_g = std::min(min_g, segments[top - 1].min_g);
+      --top;
     }
     TimeNs best = (min_g >= kTimePlusInf) ? kTimePlusInf : min_g - m_s;
     // Combine with whatever remains to the right (strictly larger m there
     // means those segments keep their own maxima).
-    const TimeNs below = stack.empty() ? kTimePlusInf : stack.back().suffix_best;
+    const TimeNs below = top > 0 ? segments[top - 1].suffix_best : kTimePlusInf;
     const TimeNs suffix_best = std::min(best, below);
-    stack.push_back(Segment{m_s, min_g, suffix_best});
-    out[s] = (suffix_best >= kTimePlusInf)
-                 ? kTimePlusInf
-                 : timing_->cav_prefix(s, q) + suffix_best;
+    segments[top++] = TdTableScratch::Segment{m_s, min_g, suffix_best};
+    column[s * stride] =
+        (suffix_best >= kTimePlusInf) ? kTimePlusInf : prefix + suffix_best;
   }
 }
 
-void PolicyEngine::td_table_safe(Quality q, std::vector<TimeNs>& out) const {
+void PolicyEngine::td_column_safe(Quality q, TimeNs* column) const {
   // tD_sf(s, q) = min_{k>=s finite} G(k) - Cwc(s, q) - SufMin(s+1),
   // with the same G(k) = D(k) + SufMin(k+1). Single suffix-min sweep.
   const ActionIndex n = app_->size();
-  out.assign(n, kTimePlusInf);
+  const auto stride = static_cast<std::size_t>(timing_->num_levels());
+  const TimeNs* dl = app_->deadline_data();
   TimeNs suffix_min_g = kTimePlusInf;
   for (ActionIndex s = n; s-- > 0;) {
-    const TimeNs d = app_->deadline(s);
-    if (d < kTimePlusInf) {
-      suffix_min_g = std::min(suffix_min_g, d + timing_->cwc_qmin_suffix(s + 1));
+    const TimeNs suffix = timing_->cwc_qmin_suffix_unchecked(s + 1);
+    if (dl[s] < kTimePlusInf) {
+      suffix_min_g = std::min(suffix_min_g, dl[s] + suffix);
     }
-    out[s] = (suffix_min_g >= kTimePlusInf)
-                 ? kTimePlusInf
-                 : suffix_min_g - timing_->cwc(s, q) - timing_->cwc_qmin_suffix(s + 1);
+    column[s * stride] =
+        (suffix_min_g >= kTimePlusInf)
+            ? kTimePlusInf
+            : suffix_min_g - timing_->cwc_unchecked(s, q) - suffix;
   }
 }
 
-void PolicyEngine::td_table_average(Quality q, std::vector<TimeNs>& out) const {
+void PolicyEngine::td_column_average(Quality q, TimeNs* column) const {
   // tD_av(s, q) = Av_q(s) + min_{k>=s finite} [ D(k) - Av_q(k+1) ].
   const ActionIndex n = app_->size();
-  out.assign(n, kTimePlusInf);
+  const auto stride = static_cast<std::size_t>(timing_->num_levels());
+  const TimeNs* dl = app_->deadline_data();
   TimeNs suffix_min = kTimePlusInf;
   for (ActionIndex s = n; s-- > 0;) {
-    const TimeNs d = app_->deadline(s);
-    if (d < kTimePlusInf) {
-      suffix_min = std::min(suffix_min, d - timing_->cav_prefix(s + 1, q));
+    if (dl[s] < kTimePlusInf) {
+      suffix_min =
+          std::min(suffix_min, dl[s] - timing_->cav_prefix_unchecked(s + 1, q));
     }
-    out[s] = (suffix_min >= kTimePlusInf) ? kTimePlusInf
-                                          : timing_->cav_prefix(s, q) + suffix_min;
+    column[s * stride] =
+        (suffix_min >= kTimePlusInf)
+            ? kTimePlusInf
+            : timing_->cav_prefix_unchecked(s, q) + suffix_min;
   }
 }
 

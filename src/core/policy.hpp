@@ -34,6 +34,20 @@ namespace speedqm {
 
 class IncrementalTdState;
 
+/// Working memory for PolicyEngine::td_table_into: the mixed policy's
+/// monotone stack. Owned by the caller and reused across tables and
+/// engines, so compiling many tables allocates it once.
+class TdTableScratch {
+ private:
+  friend class PolicyEngine;
+  struct Segment {
+    TimeNs m;            ///< max of M over the js forming this segment
+    TimeNs min_g;        ///< min G(k) over deadline ks covered (+inf if none)
+    TimeNs suffix_best;  ///< min over this segment and all segments below
+  };
+  std::vector<Segment> stack_;
+};
+
 /// Which execution-time estimator the policy uses.
 enum class PolicyKind {
   kMixed,    ///< Cav + δmax — safe and smooth (the paper's policy).
@@ -75,6 +89,12 @@ class PolicyEngine {
 
   /// Full tD table, row-major [state][quality], size n * num_levels.
   std::vector<TimeNs> td_table() const;
+
+  /// Writes the full tD table (td_table()'s values and layout) to
+  /// out[0 .. n * num_levels), e.g. straight into a shared arena; `scratch`
+  /// is reused working memory, so the call allocates nothing once it has
+  /// grown.
+  void td_table_into(TimeNs* out, TdTableScratch& scratch) const;
 
   /// Reference implementation straight from the definitions (test oracle).
   TimeNs td_naive(StateIndex s, Quality q) const;
@@ -118,9 +138,11 @@ class PolicyEngine {
   TimeNs td_online_safe(StateIndex s, Quality q, std::uint64_t* ops) const;
   TimeNs td_online_average(StateIndex s, Quality q, std::uint64_t* ops) const;
 
-  void td_table_mixed(Quality q, std::vector<TimeNs>& out) const;
-  void td_table_safe(Quality q, std::vector<TimeNs>& out) const;
-  void td_table_average(Quality q, std::vector<TimeNs>& out) const;
+  // Quality column q of the table: column[s * num_levels] = tD(s, q).
+  void td_column_mixed(Quality q, TimeNs* column,
+                       std::vector<TdTableScratch::Segment>& stack) const;
+  void td_column_safe(Quality q, TimeNs* column) const;
+  void td_column_average(Quality q, TimeNs* column) const;
 
   const ScheduledApp* app_;
   const TimingModel* timing_;

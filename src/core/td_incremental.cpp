@@ -11,7 +11,7 @@ namespace speedqm {
 namespace {
 
 /// Best achievable G - M inside one segment; guarded so the +inf sentinel
-/// never enters arithmetic (matches td_table_mixed).
+/// never enters arithmetic (matches td_column_mixed).
 inline TimeNs segment_best(TimeNs min_g, TimeNs m) {
   return (min_g >= kTimePlusInf) ? kTimePlusInf : min_g - m;
 }
@@ -78,7 +78,7 @@ void IncrementalTdState::ensure_safe_suffix(std::uint64_t* ops) {
 
 void IncrementalTdState::compile_lane(Lane& lane, Quality q,
                                       std::uint64_t* ops) const {
-  // The backward sweep of PolicyEngine::td_table_mixed, with two changes:
+  // The backward sweep of PolicyEngine::td_column_mixed, with two changes:
   // popped segments are recorded as the pushing position's *children*
   // (they are exactly the records revealed when that position is later
   // removed from the chain), and only the state-0 chain is materialized —

@@ -12,10 +12,10 @@
 // max for some k are exactly the left-to-right strict maxima of M over
 // [s, n). Advancing s to s+1 removes the chain's head and reveals the
 // records it was hiding — and those are exactly the segments the backward
-// monotone-stack sweep of PolicyEngine::td_table_mixed popped when it
+// monotone-stack sweep of PolicyEngine::td_column_mixed popped when it
 // pushed position s. IncrementalTdState therefore compiles, per probed
 // quality, that sweep's pop *forest* once (O(n), the same arithmetic as
-// td_table_mixed so values stay bit-identical), and then replays it
+// td_column_mixed so values stay bit-identical), and then replays it
 // forward: each advance pops the head segment and restores its children,
 // each segment is restored at most once per cycle, so a full n-state run
 // costs O(n) total — O(1) amortized per decision — with a live O(1) read

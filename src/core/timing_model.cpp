@@ -43,29 +43,32 @@ TimingModel::TimingModel(ActionIndex num_actions, int num_levels,
 }
 
 void TimingModel::build_prefixes() {
+  // One pass over the rows fills the prefix sums and the quality-major
+  // mirrors for the decision hot path (one contiguous run of actions per
+  // quality level); a second, backward pass the qmin suffix sums.
   const auto nq = static_cast<std::size_t>(nq_);
-  cav_prefix_.assign((n_ + 1) * nq, 0);
-  cwc_prefix_.assign((n_ + 1) * nq, 0);
+  cav_prefix_.resize((n_ + 1) * nq);
+  cwc_prefix_.resize((n_ + 1) * nq);
+  cav_by_q_.resize(nq * n_);
+  cwc_by_q_.resize(nq * n_);
+  cwc_qmin_suffix_.resize(n_ + 1);
+  const TimeNs* cav = cav_.data();
+  const TimeNs* cwc = cwc_.data();
+  TimeNs* cav_prefix = cav_prefix_.data();
+  TimeNs* cwc_prefix = cwc_prefix_.data();
+  TimeNs* cav_by_q = cav_by_q_.data();
+  TimeNs* cwc_by_q = cwc_by_q_.data();
   for (ActionIndex i = 0; i < n_; ++i) {
     for (std::size_t q = 0; q < nq; ++q) {
-      cav_prefix_[(i + 1) * nq + q] = cav_prefix_[i * nq + q] + cav_[i * nq + q];
-      cwc_prefix_[(i + 1) * nq + q] = cwc_prefix_[i * nq + q] + cwc_[i * nq + q];
+      const std::size_t k = i * nq + q;
+      cav_prefix[k + nq] = cav_prefix[k] + cav[k];
+      cwc_prefix[k + nq] = cwc_prefix[k] + cwc[k];
+      cav_by_q[q * n_ + i] = cav[k];
+      cwc_by_q[q * n_ + i] = cwc[k];
     }
   }
-  cwc_qmin_suffix_.assign(n_ + 1, 0);
-  for (ActionIndex i = n_; i-- > 0;) {
-    cwc_qmin_suffix_[i] = cwc_qmin_suffix_[i + 1] + cwc_[i * nq + 0];
-  }
-  // Quality-major mirrors for the decision hot path (one contiguous run of
-  // actions per quality level).
-  cav_by_q_.assign(nq * n_, 0);
-  cwc_by_q_.assign(nq * n_, 0);
-  for (ActionIndex i = 0; i < n_; ++i) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      cav_by_q_[q * n_ + i] = cav_[i * nq + q];
-      cwc_by_q_[q * n_ + i] = cwc_[i * nq + q];
-    }
-  }
+  TimeNs* suffix = cwc_qmin_suffix_.data();
+  for (ActionIndex i = n_; i-- > 0;) suffix[i] = suffix[i + 1] + cwc[i * nq];
 }
 
 TimeNs TimingModel::cav_range(ActionIndex first, ActionIndex last, Quality q) const {

@@ -16,18 +16,6 @@ const char* to_string(PlacementPolicy policy) {
   return "?";
 }
 
-TimeNs checked_exact_sum(const std::vector<TimeNs>& values) {
-  TimeNs total = 0;
-  for (const TimeNs v : values) {
-    if (v < 0 || v >= kExactDoubleSumLimit - total) {
-      throw contract_error(
-          "checked_exact_sum: values must be >= 0 and sum below 2^53 ns");
-    }
-    total += v;
-  }
-  return total;
-}
-
 AdmissionController::AdmissionController(std::shared_ptr<TaskPool> pool,
                                          TimeNs budget, PlacementPolicy policy)
     : budget_(budget), policy_(policy) {
@@ -40,13 +28,13 @@ AdmissionController::AdmissionController(std::shared_ptr<TaskPool> pool,
   coexistence_margin_ = spec.coexistence_margin;
   const OverheadModel overhead = OverheadModel::server_like();
   const BatchCallEstimate estimate(spec.num_levels);
-  std::vector<TimeNs> cav_qmin(pool->size());
   terms_.resize(pool->size());
+  seen_.assign(pool->size(), 0);
   for (std::size_t task = 0; task < pool->size(); ++task) {
     const TimingModel& raw = pool->raw_timing(task);
     TaskTerms& t = terms_[task];
     t.actions = static_cast<TimeNs>(raw.num_actions());
-    t.cav_qmin = cav_qmin[task] = raw.total_cav(kQmin);
+    t.cav_qmin = raw.total_cav(kQmin);
     // inflate_for_overhead adds one manager call's cost to each action's
     // Cwc; summing those margins gives the inflated total directly.
     t.cwc_qmin = raw.total_cwc(kQmin);
@@ -56,12 +44,12 @@ AdmissionController::AdmissionController(std::shared_ptr<TaskPool> pool,
       }
     }
   }
-  checked_exact_sum(cav_qmin);
 }
 
 TimeNs AdmissionController::slack_of(std::size_t task, TimeNs cav_total) const {
   const TaskTerms& t = terms_[task];
-  // The arithmetic of inflate_for_coexistence at qmin, term for term.
+  // The arithmetic of build_member_controllers' margin at qmin, term for
+  // term.
   const TimeNs margin =
       coexistence_margin_
           ? static_cast<TimeNs>(
@@ -72,17 +60,23 @@ TimeNs AdmissionController::slack_of(std::size_t task, TimeNs cav_total) const {
   return budget_ - (t.cwc_qmin + t.actions * margin);
 }
 
-void AdmissionController::mark_member(std::size_t task,
-                                      std::vector<char>& seen) const {
+void AdmissionController::begin_check() const {
+  if (++stamp_ == 0) {  // wrapped: clear the stale stamps once
+    std::fill(seen_.begin(), seen_.end(), 0);
+    stamp_ = 1;
+  }
+}
+
+void AdmissionController::mark_member(std::size_t task) const {
   if (task >= terms_.size()) {
     throw contract_error("AdmissionController: task " + std::to_string(task) +
                          " outside the pool");
   }
-  if (seen[task]) {
+  if (seen_[task] == stamp_) {
     throw contract_error("AdmissionController: task " + std::to_string(task) +
                          " listed twice");
   }
-  seen[task] = 1;
+  seen_[task] = stamp_;
 }
 
 MixSlack AdmissionController::evaluate(
@@ -90,10 +84,10 @@ MixSlack AdmissionController::evaluate(
   if (members.empty()) {
     throw contract_error("AdmissionController: empty member set");
   }
-  std::vector<char> seen(terms_.size(), 0);
+  begin_check();
   TimeNs cav_total = 0;
   for (const std::size_t task : members) {
-    mark_member(task, seen);
+    mark_member(task);
     cav_total += terms_[task].cav_qmin;
   }
   MixSlack out;
@@ -114,8 +108,8 @@ AdmissionDecision AdmissionController::admit(
   if (shard_members.empty()) {
     throw contract_error("AdmissionController: no shards to evaluate");
   }
-  std::vector<char> seen(terms_.size(), 0);
-  mark_member(task, seen);
+  begin_check();
+  mark_member(task);
   const TimeNs task_cav = terms_[task].cav_qmin;
 
   AdmissionDecision decision;
@@ -133,7 +127,7 @@ AdmissionDecision AdmissionController::admit(
     const std::vector<std::size_t>& members = shard_members[shard];
     TimeNs before = 0;
     for (const std::size_t member : members) {
-      mark_member(member, seen);
+      mark_member(member);
       before += terms_[member].cav_qmin;
     }
     const TimeNs with = before + task_cav;

@@ -3,7 +3,7 @@
 // A shard's cycle budget B (its capacity) is fixed at serving start; a
 // task asking to join consumes capacity indirectly, by thickening every
 // member's coexistence margin (workload/scenarios.hpp,
-// inflate_for_coexistence). The admission question is the paper's
+// build_member_controllers). The admission question is the paper's
 // feasibility precondition, asked per shard over the would-be member set
 // M: with the newcomer's margins folded in, does every member k still
 // satisfy tD_k(0, qmin) >= 0 against B?
@@ -28,12 +28,12 @@
 //         !spec.coexistence_margin;   C_j = raw total Cav_j(qmin)
 //
 // n_k, C_k and X_k are computed once per pool task at construction, so
-// evaluating a member set is one O(|M|) pass with no allocation beyond a
-// duplicate-check bitmap. inflate_for_coexistence sums the C_j in double;
-// they are integers, so every partial sum below 2^53 is exact in any
-// order, and double(Σ_M C − C_k) reproduces its sum bit for bit. The
-// constructor throws contract_error unless the pool's Σ C_j < 2^53
-// (checked_exact_sum). tests/test_admission.cpp keeps the rebuild path
+// evaluating a member set is one O(|M|) pass with no allocation (the
+// duplicate check reuses one stamp array across calls).
+// build_member_controllers computes the same margin from the same
+// double(Σ_M C − C_k); TaskPool guarantees the pool's Σ Cav at every
+// quality stays below 2^53 (support/exact_sum.hpp), so that sum is exact.
+// tests/test_admission.cpp keeps the rebuild path
 // (build_member_controllers + analyze_mix_feasibility) as the oracle, so
 // a change to either assumption above — one shared deadline, additive
 // per-action margins — fails there.
@@ -48,13 +48,16 @@
 //                  becomes the straggler that bounds the worker pool.
 // Admission runs on the control thread and depends only on pool contents
 // and current memberships, so its decisions are deterministic and
-// identical for any worker-thread count.
+// identical for any worker-thread count. One controller serves one thread
+// at a time: its calls share the duplicate-check scratch.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "support/exact_sum.hpp"
 #include "workload/scenarios.hpp"
 
 namespace speedqm {
@@ -91,19 +94,11 @@ struct MixSlack {
   std::size_t critical_task = 0;  ///< first member (list index) with it
 };
 
-/// Sums of integer ns values are exact in double below this bound.
-inline constexpr TimeNs kExactDoubleSumLimit = TimeNs{1} << 53;
-
-/// Σ `values`, checked in every build: throws contract_error on a negative
-/// value or when the sum reaches kExactDoubleSumLimit, so every partial
-/// sum of the values, in any order, is exact in double.
-TimeNs checked_exact_sum(const std::vector<TimeNs>& values);
-
 class AdmissionController {
  public:
   /// `budget` is the per-shard cycle capacity every evaluation is made
-  /// against. Throws contract_error, in every build, on a null pool, a
-  /// non-positive budget, or a pool whose Σ C_j reaches 2^53 ns.
+  /// against. Throws contract_error, in every build, on a null pool or a
+  /// non-positive budget. (The pool itself keeps Σ C_j below 2^53 ns.)
   AdmissionController(std::shared_ptr<TaskPool> pool, TimeNs budget,
                       PlacementPolicy policy = PlacementPolicy::kBestFit);
 
@@ -134,13 +129,20 @@ class AdmissionController {
 
   /// slack_k of pool task `task` in a mix whose Σ C is `cav_total`.
   TimeNs slack_of(std::size_t task, TimeNs cav_total) const;
-  /// Checks `task` against the pool and `seen`, then marks it.
-  void mark_member(std::size_t task, std::vector<char>& seen) const;
+  /// Starts a duplicate check: no task counts as listed any more.
+  void begin_check() const;
+  /// Checks `task` against the pool and the tasks listed since
+  /// begin_check, then marks it listed.
+  void mark_member(std::size_t task) const;
 
   TimeNs budget_;
   PlacementPolicy policy_;
   bool coexistence_margin_;
   std::vector<TaskTerms> terms_;
+  /// Duplicate-check scratch, reused by every call: task k is listed in
+  /// the current check when seen_[k] == stamp_.
+  mutable std::vector<std::uint32_t> seen_;
+  mutable std::uint32_t stamp_ = 0;
 };
 
 }  // namespace speedqm

@@ -84,6 +84,7 @@ ShardedServer::ShardedServer(const ShardedServerSpec& spec,
   admission_ = std::make_unique<AdmissionController>(pool_, shard_budget_,
                                                      spec.placement);
   shards_.resize(spec.num_shards);
+  members_.resize(spec.num_shards);
   for (std::size_t s = 0; s < shards_.size(); ++s) shards_[s].index = s;
 
   // Scenario disconnect windows become forced leave/rejoin pairs in the
@@ -154,8 +155,9 @@ void ShardedServer::rebuild_shard(Shard& shard) {
   shard.pplatform.reset();
   shard.manager.reset();
   shard.mix.reset();
-  if (!shard.members.empty()) {
-    shard.mix = std::make_unique<MultiTaskMix>(pool_, shard.members,
+  const std::vector<std::size_t>& members = members_[shard.index];
+  if (!members.empty()) {
+    shard.mix = std::make_unique<MultiTaskMix>(pool_, members,
                                                shard_budget_);
     shard.manager = std::make_unique<BatchMultiTaskManager>(
         shard.mix->composed(), shard.mix->engines(), spec_.mode,
@@ -192,16 +194,14 @@ void ShardedServer::rebuild_shard(Shard& shard) {
 }
 
 void ShardedServer::place_initial_tasks() {
-  std::vector<std::vector<std::size_t>> memberships(shards_.size());
   for (std::size_t task = 0; task < spec_.initial_tasks; ++task) {
-    AdmissionDecision decision = admission_->admit(task, memberships, 0);
+    AdmissionDecision decision = admission_->admit(task, members_, 0);
     if (decision.admitted) {
-      memberships[decision.shard].push_back(task);
+      members_[decision.shard].push_back(task);
     }
     admissions_.push_back(std::move(decision));
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].members = std::move(memberships[s]);
     shards_[s].acc = std::make_unique<RunSummaryAccumulator>(
         "shard-" + std::to_string(s));
     if (!spec_.perturb.empty()) {
@@ -215,13 +215,10 @@ void ShardedServer::place_initial_tasks() {
 }
 
 bool ShardedServer::join(std::size_t task, std::size_t cycle) {
-  std::vector<std::vector<std::size_t>> memberships;
-  memberships.reserve(shards_.size());
-  for (const Shard& shard : shards_) memberships.push_back(shard.members);
-  AdmissionDecision decision = admission_->admit(task, memberships, cycle);
+  AdmissionDecision decision = admission_->admit(task, members_, cycle);
   const bool admitted = decision.admitted;
   if (admitted) {
-    shards_[decision.shard].members.push_back(task);
+    members_[decision.shard].push_back(task);
     shards_[decision.shard].dirty = true;
   }
   admissions_.push_back(std::move(decision));
@@ -229,21 +226,23 @@ bool ShardedServer::join(std::size_t task, std::size_t cycle) {
 }
 
 bool ShardedServer::leave(std::size_t task) {
-  for (Shard& shard : shards_) {
-    const auto it = std::find(shard.members.begin(), shard.members.end(), task);
-    if (it == shard.members.end()) continue;
-    shard.members.erase(it);
-    shard.dirty = true;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    std::vector<std::size_t>& members = members_[s];
+    const auto it = std::find(members.begin(), members.end(), task);
+    if (it == members.end()) continue;
+    members.erase(it);
+    shards_[s].dirty = true;
     return true;
   }
   return false;
 }
 
 bool ShardedServer::resident(std::size_t task) const {
-  return std::any_of(shards_.begin(), shards_.end(), [task](const Shard& shard) {
-    return std::find(shard.members.begin(), shard.members.end(), task) !=
-           shard.members.end();
-  });
+  return std::any_of(members_.begin(), members_.end(),
+                     [task](const std::vector<std::size_t>& members) {
+                       return std::find(members.begin(), members.end(),
+                                        task) != members.end();
+                     });
 }
 
 void ShardedServer::apply_events(std::size_t cycle) {
@@ -292,11 +291,12 @@ void ShardedServer::apply_governor(std::size_t cycle) {
   for (Shard& shard : shards_) {
     if (!shard.pacer) continue;
     if (!shard.pacer->governor().take_shed_request()) continue;
-    if (shard.members.size() <= 1) continue;
-    std::size_t to_shed = std::max<std::size_t>(1, shard.members.size() / 4);
-    while (to_shed-- > 0 && shard.members.size() > 1) {
-      parked_.push_back({shard.members.back(), shard.index});
-      shard.members.pop_back();
+    std::vector<std::size_t>& members = members_[shard.index];
+    if (members.size() <= 1) continue;
+    std::size_t to_shed = std::max<std::size_t>(1, members.size() / 4);
+    while (to_shed-- > 0 && members.size() > 1) {
+      parked_.push_back({members.back(), shard.index});
+      members.pop_back();
       ++shed_tasks_;
     }
     shard.dirty = true;
@@ -543,7 +543,7 @@ ServingSummary ShardedServer::serve() {
     Shard& shard = shards_[s];
     ShardReport report;
     report.shard = s;
-    report.members = shard.members;
+    report.members = members_[s];
     report.summary = shard.acc->finish();
     report.clock = shard.clock;
     report.epochs = shard.epochs + (shard.manager ? shard.manager->epochs() : 0);

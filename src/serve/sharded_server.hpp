@@ -158,7 +158,6 @@ class ShardedServer {
  private:
   struct Shard {
     std::size_t index = 0;
-    std::vector<std::size_t> members;
     std::unique_ptr<MultiTaskMix> mix;              // null while empty
     std::unique_ptr<BatchMultiTaskManager> manager;
     std::unique_ptr<RunSummaryAccumulator> acc;
@@ -221,6 +220,9 @@ class ShardedServer {
   TimeNs shard_budget_ = 0;
   std::unique_ptr<AdmissionController> admission_;
   std::vector<Shard> shards_;
+  /// members_[s]: pool task ids on shard s, in composition order — kept
+  /// apart from Shard so every join hands them to admission by reference.
+  std::vector<std::vector<std::size_t>> members_;
   std::vector<AdmissionDecision> admissions_;
   std::size_t leaves_ = 0;
   std::size_t scripted_disconnects_ = 0;

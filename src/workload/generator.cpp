@@ -331,7 +331,7 @@ void MixAdapterGenerator::open(const WorkloadSpec& spec) {
   next_cycle_ = 0;
   frame_.assign(mix_->composed().app().size() *
                     static_cast<std::size_t>(
-                        mix_->composed().timing().num_levels()),
+                        mix_->composed().num_levels()),
                 0);
 }
 
@@ -341,7 +341,7 @@ bool MixAdapterGenerator::next_event(WorkloadEvent& out) {
   ComposedCyclicSource& src = mix_->source();
   src.set_cycle(next_cycle_ % src.num_cycles());
   const ActionIndex n = mix_->composed().app().size();
-  const int nq = mix_->composed().timing().num_levels();
+  const int nq = mix_->composed().num_levels();
   for (ActionIndex i = 0; i < n; ++i) {
     for (Quality q = 0; q < nq; ++q) {
       frame_[static_cast<std::size_t>(i) * static_cast<std::size_t>(nq) +

@@ -6,6 +6,7 @@
 
 #include "sim/platform.hpp"
 #include "support/contract.hpp"
+#include "support/exact_sum.hpp"
 
 namespace speedqm {
 
@@ -58,41 +59,6 @@ std::uint64_t mix_hash(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-/// Coexistence margin: raises every action's Cav and Cwc of task `task` by
-/// the other tasks' per-round average cost at the same quality. Under the
-/// proportional interleave each task contributes one action per round, so
-/// between two of τ's actions the platform executes ≈ n_σ / n_τ actions of
-/// every other task σ — a per-action margin of Σ_{σ≠τ} total_cav_σ(q) / n_τ
-/// (assuming coupled quality, like the composed single-knob manager).
-/// Preserves the Definition 1 shape: the margin is non-decreasing in q and
-/// added to Cav and Cwc alike.
-TimingModel inflate_for_coexistence(const TimingModel& own, std::size_t task,
-                                    const std::vector<const TimingModel*>& all) {
-  const ActionIndex n = own.num_actions();
-  const int nq = own.num_levels();
-  const auto nq_s = static_cast<std::size_t>(nq);
-  std::vector<TimeNs> margin(nq_s, 0);
-  for (Quality q = 0; q < nq; ++q) {
-    double others = 0;
-    for (std::size_t other = 0; other < all.size(); ++other) {
-      if (other == task) continue;
-      others += static_cast<double>(all[other]->total_cav(q));
-    }
-    margin[static_cast<std::size_t>(q)] =
-        static_cast<TimeNs>(others / static_cast<double>(n) + 0.5);
-  }
-  std::vector<TimeNs> cav(n * nq_s);
-  std::vector<TimeNs> cwc(n * nq_s);
-  for (ActionIndex i = 0; i < n; ++i) {
-    for (Quality q = 0; q < nq; ++q) {
-      const std::size_t k = i * nq_s + static_cast<std::size_t>(q);
-      cav[k] = own.cav(i, q) + margin[static_cast<std::size_t>(q)];
-      cwc[k] = own.cwc(i, q) + margin[static_cast<std::size_t>(q)];
-    }
-  }
-  return TimingModel(n, nq, std::move(cav), std::move(cwc));
-}
-
 /// Rebuilds an app with every deadline cleared except the final one, set
 /// to the shared budget: tasks sharing one cycle are all due by its end.
 std::unique_ptr<ScheduledApp> with_shared_budget(const ScheduledApp& app,
@@ -116,10 +82,17 @@ TaskPool::TaskPool(const MultiTaskMixSpec& spec) : spec_(spec) {
   if (!(std::isfinite(spec.budget_factor) && spec.budget_factor > 0)) {
     throw contract_error("TaskPool: budget_factor must be finite and > 0");
   }
-  SPEEDQM_REQUIRE(spec.num_levels >= 2, "TaskPool: need >= 2 quality levels");
-  SPEEDQM_REQUIRE(spec.min_task_actions >= 2 &&
-                      spec.min_task_actions <= spec.max_task_actions,
-                  "TaskPool: bad task size range");
+  if (spec.num_levels < 2) {
+    throw contract_error("TaskPool: need >= 2 quality levels");
+  }
+  if (spec.min_task_actions < 2 ||
+      spec.min_task_actions > spec.max_task_actions) {
+    throw contract_error(
+        "TaskPool: task sizes need 2 <= min_task_actions <= max_task_actions");
+  }
+  if (spec.budget_quality < 0) {
+    throw contract_error("TaskPool: budget_quality must be >= 0");
+  }
   const Quality budget_q =
       std::min<Quality>(spec.budget_quality, spec.num_levels - 1);
 
@@ -165,6 +138,16 @@ TaskPool::TaskPool(const MultiTaskMixSpec& spec) : spec_(spec) {
     traces_.push_back(&synth_.back()->traces());
     names_.push_back("synth" + std::to_string(task));
   }
+
+  // Member controllers take Σ Cav(q) over a mix once and subtract each
+  // member's own share; that is exact while the pool's sum stays below
+  // 2^53. Cav is non-decreasing in q, so the qmax sum bounds every level.
+  std::vector<TimeNs> cav_qmax;
+  cav_qmax.reserve(timings_.size());
+  for (const TimingModel* timing : timings_) {
+    cav_qmax.push_back(timing->total_cav(timing->qmax()));
+  }
+  checked_exact_sum(cav_qmax);
 }
 
 TimeNs TaskPool::budget_for(const std::vector<std::size_t>& members) const {
@@ -193,32 +176,71 @@ MemberControllers build_member_controllers(
                   "build_member_controllers: need at least one member");
   SPEEDQM_REQUIRE(budget > 0, "build_member_controllers: non-positive budget");
   const MultiTaskMixSpec& spec = pool.spec();
-
-  MemberControllers out;
-  out.members = members;
-  std::vector<const TimingModel*> member_timings;
-  member_timings.reserve(members.size());
+  const int nq = spec.num_levels;
+  const auto nq_s = static_cast<std::size_t>(nq);
   for (const std::size_t task : members) {
     SPEEDQM_REQUIRE(task < pool.size(),
                     "build_member_controllers: member out of range");
-    member_timings.push_back(&pool.raw_timing(task));
   }
 
-  // Controller views: budget-bearing apps and (optionally) §2.2.2-inflated
-  // timing models; engines decide per task against the shared clock.
-  const BatchCallEstimate estimate(spec.num_levels);
-  for (std::size_t slot = 0; slot < members.size(); ++slot) {
-    const std::size_t task = members[slot];
-    out.apps.push_back(with_shared_budget(pool.raw_app(task), budget));
-    TimingModel model =
-        spec.coexistence_margin
-            ? inflate_for_coexistence(*member_timings[slot], slot,
-                                      member_timings)
-            : *member_timings[slot];
-    if (spec.inflate_overhead) {
-      model = inflate_for_overhead(model, overhead, estimate);
+  // Coexistence margin: under the proportional interleave each task
+  // contributes one action per round, so between two of task k's actions
+  // the platform executes ≈ n_j / n_k actions of every other member j — a
+  // per-action margin of Σ_{j≠k} total Cav_j(q) / n_k at k's own quality
+  // (assuming coupled quality, like the composed single-knob manager).
+  // The mix total is summed once and k's own share subtracted: integer
+  // sums below 2^53 (TaskPool's bound) are exact in double, so this is
+  // bit for bit the double sum over the other members.
+  std::vector<TimeNs> mix_cav(nq_s, 0);
+  if (spec.coexistence_margin) {
+    for (const std::size_t task : members) {
+      const TimingModel& raw = pool.raw_timing(task);
+      for (Quality q = 0; q < nq; ++q) {
+        mix_cav[static_cast<std::size_t>(q)] += raw.total_cav(q);
+      }
     }
-    out.models.push_back(std::make_unique<TimingModel>(std::move(model)));
+  }
+
+  // Controller views: budget-bearing apps, and timing models raised in one
+  // pass by the coexistence margin and (optionally) the §2.2.2 overhead
+  // margin of one batch manager call per action — both added to Cav and
+  // Cwc alike, which keeps the Definition 1 shape. Engines decide per task
+  // against the shared clock.
+  const BatchCallEstimate estimate(nq);
+  MemberControllers out;
+  out.members = members;
+  out.apps.reserve(members.size());
+  out.models.reserve(members.size());
+  out.engines.reserve(members.size());
+  std::vector<TimeNs> margin(nq_s, 0);
+  for (const std::size_t task : members) {
+    const TimingModel& raw = pool.raw_timing(task);
+    const ActionIndex n = raw.num_actions();
+    if (spec.coexistence_margin) {
+      for (Quality q = 0; q < nq; ++q) {
+        const auto qi = static_cast<std::size_t>(q);
+        margin[qi] = static_cast<TimeNs>(
+            static_cast<double>(mix_cav[qi] - raw.total_cav(q)) /
+                static_cast<double>(n) +
+            0.5);
+      }
+    }
+    std::vector<TimeNs> cav(n * nq_s);
+    std::vector<TimeNs> cwc(n * nq_s);
+    for (ActionIndex i = 0; i < n; ++i) {
+      const TimeNs call =
+          spec.inflate_overhead ? overhead.cost(estimate.ops(i)) : 0;
+      SPEEDQM_REQUIRE(call >= 0, "build_member_controllers: negative margin");
+      for (std::size_t q = 0; q < nq_s; ++q) {
+        const std::size_t k = i * nq_s + q;
+        const auto qq = static_cast<Quality>(q);
+        cav[k] = raw.cav_unchecked(i, qq) + margin[q] + call;
+        cwc[k] = raw.cwc_unchecked(i, qq) + margin[q] + call;
+      }
+    }
+    out.apps.push_back(with_shared_budget(pool.raw_app(task), budget));
+    out.models.push_back(
+        std::make_unique<TimingModel>(n, nq, std::move(cav), std::move(cwc)));
     out.engines.push_back(std::make_unique<PolicyEngine>(
         *out.apps.back(), *out.models.back(), PolicyKind::kMixed));
   }

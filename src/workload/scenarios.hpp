@@ -101,8 +101,11 @@ struct MultiTaskMixSpec {
 /// number of shards and assemblies may read one pool concurrently.
 class TaskPool {
  public:
-  /// Throws contract_error, in every build, when spec.num_tasks is 0 or
-  /// spec.budget_factor is not a finite number > 0.
+  /// Throws contract_error, in every build, when spec.num_tasks is 0,
+  /// spec.budget_factor is not a finite number > 0, spec.num_levels < 2,
+  /// the task-size range is not 2 <= min <= max, spec.budget_quality < 0,
+  /// or the pool's Σ Cav at qmax reaches 2^53 ns (the bound that keeps
+  /// the member controllers' double margin sums exact).
   explicit TaskPool(const MultiTaskMixSpec& spec);
 
   const MultiTaskMixSpec& spec() const { return spec_; }
@@ -138,9 +141,11 @@ class TaskPool {
 
 /// The controller-side view of one member subset of a pool: budget-bearing
 /// apps (every member due by the shared budget), controller timing models
-/// (coexistence margin over the members, then §2.2.2 overhead inflation)
-/// and per-task policy engines — building it does NOT compose the
-/// schedules or read the traces. serve/AdmissionController's closed form
+/// (the raw model plus the coexistence margin over the members and the
+/// §2.2.2 overhead margin, applied in one pass) and per-task policy
+/// engines — building it does NOT compose the schedules or read the
+/// traces. O(|members| · |Q| + Σ n_k · |Q|): the mix's Σ Cav(q) is summed
+/// once, not once per member. serve/AdmissionController's closed form
 /// relies on its shape (one shared deadline per member, margins added to
 /// Cav and Cwc alike per action); tests/test_admission.cpp checks the two
 /// agree.

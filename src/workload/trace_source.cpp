@@ -42,7 +42,7 @@ TimeNs TraceTimeSource::at(std::size_t cycle, ActionIndex i, Quality q) const {
 
 ComposedCyclicSource::ComposedCyclicSource(
     const ComposedSystem& system, std::vector<const TraceTimeSource*> sources)
-    : sources_(std::move(sources)), nq_(system.timing().num_levels()) {
+    : sources_(std::move(sources)), nq_(system.num_levels()) {
   SPEEDQM_REQUIRE(sources_.size() == system.num_tasks(),
                   "ComposedCyclicSource: one source per task required");
   // Joint content period, computed once (the executor queries it every

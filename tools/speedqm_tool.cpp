@@ -460,7 +460,7 @@ int cmd_multitask(const ArgMap& args) {
     workload_gen->open(wspec);
     workload_source = std::make_unique<GeneratorTimeSource>(
         *workload_gen, cycles, mix.composed().app().size(),
-        mix.composed().timing().num_levels());
+        mix.composed().num_levels());
     base_source = workload_source.get();
     std::printf("workload       : %s generator (%zu resident bytes)\n",
                 workload_gen->name().c_str(), workload_gen->memory_bytes());
